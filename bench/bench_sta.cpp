@@ -1,9 +1,9 @@
 /// \file bench_sta.cpp
 /// Incremental-STA engine bench: measures what the persistent engine buys
-/// over from-scratch rebuilds, and checks the exact min-period solve
-/// against the legacy bisection. Three parts, each an A/B with asserted
-/// value equality (the speedup only counts if the answers match bit for
-/// bit):
+/// over from-scratch rebuilds, checks the exact min-period solve against
+/// the legacy bisection, and times the opt stage. Each part asserts value
+/// equality against a reference (a timing only counts if the answers match
+/// bit for bit):
 ///
 ///  A. Per-edit micro: the same resize sequence timed against (a) a fresh
 ///     Sta per edit and (b) one persistent engine fed applyResize +
@@ -11,12 +11,12 @@
 ///  B. Min-period: exact single-sweep findMinPeriod vs the 40-iteration
 ///     findMinPeriodBisect, caches busted between reps, values within
 ///     1e-12.
-///  C. Opt-stage headline: optimizeForMaxFrequency with
-///     OptimizerOptions::incrementalSta off/on over copies of the same
-///     placed tile, asserting the final netlists hash-identical and the
-///     min periods equal, and recording the wall-clock speedup. The full
-///     run uses the paper's large-cache tile and enforces the >= 3x
-///     acceptance bound; --smoke runs the tiny tile and writes
+///  C. Opt stage: optimizeForMaxFrequency over a copy of the placed tile at
+///     1 thread (timed) and again at 2 threads, asserting the final netlist
+///     hash, min period, resize and buffer counts identical across the two
+///     runs and the reported min period no better than a from-scratch Sta
+///     on the final netlist allows. The full run uses the paper's
+///     large-cache tile; --smoke runs the tiny tile and writes
 ///     BENCH_sta_smoke.json for the checked-in-baseline diff in
 ///     scripts/quickcheck.sh.
 
@@ -154,26 +154,33 @@ MicroResult runEditMicro(const Netlist& base, const EstimationOptions& eopt, dou
 struct OptResult {
   double wallS = 0.0;
   double minPeriod = 0.0;
+  double scratchMinPeriod = 0.0;  ///< from-scratch Sta on the final netlist.
   std::uint64_t netlistHash = 0;
   int cellsResized = 0;
   int buffersInserted = 0;
+
+  bool sameArtifact(const OptResult& o) const {
+    return netlistHash == o.netlistHash && minPeriod == o.minPeriod &&
+           scratchMinPeriod == o.scratchMinPeriod && cellsResized == o.cellsResized &&
+           buffersInserted == o.buffersInserted;
+  }
 };
 
-/// Part C: the max-frequency opt recipe with the persistent engine off/on.
-OptResult runOpt(const Netlist& base, const EstimationOptions& eopt, bool incremental,
-                 int rounds, int maxPasses) {
+/// Part C: the max-frequency opt recipe on \p threads STA threads.
+OptResult runOpt(const Netlist& base, const EstimationOptions& eopt, int threads, int rounds,
+                 int maxPasses) {
   Netlist nl = base;
   std::vector<NetParasitics> paras = estimateDesign(nl, eopt);
   EstimatedParasitics provider(eopt);
   OptimizerOptions oo;
-  oo.numThreads = 1;
+  oo.numThreads = threads;
   oo.maxPasses = maxPasses;
-  oo.incrementalSta = incremental;
   const auto t0 = Clock::now();
   const MaxFreqOptResult res = optimizeForMaxFrequency(nl, paras, provider, nullptr, oo, rounds);
   OptResult r;
   r.wallS = secondsSince(t0);
   r.minPeriod = res.minPeriod;
+  r.scratchMinPeriod = Sta(nl, paras, nullptr, kTypicalCorner, 1).findMinPeriod();
   r.netlistHash = db::hashNetlist(nl);
   r.cellsResized = res.cellsResized;
   r.buffersInserted = res.buffersInserted;
@@ -245,42 +252,31 @@ int runBench(bool smoke) {
     bj.scalar("minp_speedup", speedup);
   }
 
-  // --- C. opt-stage headline ----------------------------------------------
+  // --- C. opt stage --------------------------------------------------------
   const int rounds = smoke ? 2 : 4;
   const int maxPasses = smoke ? 6 : 20;
-  const OptResult legacy = runOpt(base, eopt, /*incremental=*/false, rounds, maxPasses);
-  const OptResult incr = runOpt(base, eopt, /*incremental=*/true, rounds, maxPasses);
-  const bool hashMatch =
-      legacy.netlistHash == incr.netlistHash && legacy.minPeriod == incr.minPeriod &&
-      legacy.cellsResized == incr.cellsResized && legacy.buffersInserted == incr.buffersInserted;
+  const OptResult opt = runOpt(base, eopt, /*threads=*/1, rounds, maxPasses);
+  const OptResult opt2 = runOpt(base, eopt, /*threads=*/2, rounds, maxPasses);
+  // optimizeForMaxFrequency reports the best period any round reached, so
+  // the final netlist may time a hair slower, never faster.
+  const bool hashMatch = opt.sameArtifact(opt2) && opt.minPeriod <= opt.scratchMinPeriod;
   if (!hashMatch) {
-    std::printf("FAIL: incremental opt diverged: hash %016llx vs %016llx, T %.17g vs %.17g\n",
-                static_cast<unsigned long long>(legacy.netlistHash),
-                static_cast<unsigned long long>(incr.netlistHash), legacy.minPeriod,
-                incr.minPeriod);
+    std::printf("FAIL: opt stage diverged: hash %016llx vs %016llx, T %.17g vs %.17g "
+                "(scratch %.17g)\n",
+                static_cast<unsigned long long>(opt.netlistHash),
+                static_cast<unsigned long long>(opt2.netlistHash), opt.minPeriod,
+                opt2.minPeriod, opt.scratchMinPeriod);
     ok = false;
   }
-  const double optSpeedup = incr.wallS > 0.0 ? legacy.wallS / incr.wallS : 0.0;
-  std::printf(
-      "opt stage (%d rounds x %d passes): legacy %.3f s, incremental %.3f s (%.2fx), "
-      "T=%.1f ps, %d resized, %d buffers, hash %s\n",
-      rounds, maxPasses, legacy.wallS, incr.wallS, optSpeedup, incr.minPeriod * 1e12,
-      incr.cellsResized, incr.buffersInserted, hashMatch ? "match" : "MISMATCH");
+  std::printf("opt stage (%d rounds x %d passes): %.3f s, T=%.1f ps, %d resized, %d buffers, "
+              "hash %s\n",
+              rounds, maxPasses, opt.wallS, opt.minPeriod * 1e12, opt.cellsResized,
+              opt.buffersInserted, hashMatch ? "match" : "MISMATCH");
   bj.scalar("hash_match", hashMatch ? 1.0 : 0.0);
-  bj.scalar("opt_min_period_ps", incr.minPeriod * 1e12);
-  bj.scalar("opt_cells_resized", static_cast<double>(incr.cellsResized));
-  bj.scalar("opt_buffers_inserted", static_cast<double>(incr.buffersInserted));
-  bj.scalar("opt_legacy_wall_s", legacy.wallS);
-  bj.scalar("opt_incr_wall_s", incr.wallS);
-  bj.scalar("opt_speedup", optSpeedup);
-
-  // The acceptance bound holds on the real (large) tile; the smoke tile is
-  // too small for the rebuild cost to dominate, so there the bench only
-  // gates on value equality.
-  if (!smoke && !fastMode() && optSpeedup < 3.0) {
-    std::printf("FAIL: opt-stage speedup %.2fx below the 3x acceptance bound\n", optSpeedup);
-    ok = false;
-  }
+  bj.scalar("opt_min_period_ps", opt.minPeriod * 1e12);
+  bj.scalar("opt_cells_resized", static_cast<double>(opt.cellsResized));
+  bj.scalar("opt_buffers_inserted", static_cast<double>(opt.buffersInserted));
+  bj.scalar("opt_incr_wall_s", opt.wallS);
 
   const std::string path = bj.write();
   std::printf("wrote %s\n%s\n", path.c_str(), ok ? "PASS" : "FAIL");

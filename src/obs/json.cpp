@@ -138,6 +138,11 @@ double JsonValue::numberOr(std::string_view k, double fallback) const {
 
 namespace {
 
+/// Deepest object/array nesting parseJson accepts. The parser recurses once
+/// per level and the server feeds it raw client lines, so an unbounded
+/// depth would let one line of '[' overflow the stack.
+constexpr int kMaxJsonDepth = 256;
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* err) : s_(text), err_(err) {}
@@ -182,8 +187,16 @@ class Parser {
       return false;
     }
     const char c = s_[pos_];
-    if (c == '{') return parseObject(out);
-    if (c == '[') return parseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ >= kMaxJsonDepth) {
+        fail("nesting too deep");
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = JsonValue::Type::kString;
       return parseString(out.str);
@@ -357,6 +370,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string* err_;
 };
 

@@ -93,7 +93,8 @@ struct JsonValue {
   double numberOr(std::string_view key, double fallback) const;
 };
 
-/// Parses \p text; returns nullopt and fills \p err on malformed input.
+/// Parses \p text; returns nullopt and fills \p err on malformed input,
+/// including objects/arrays nested more than 256 levels deep.
 std::optional<JsonValue> parseJson(std::string_view text, std::string* err = nullptr);
 
 }  // namespace m3d::obs

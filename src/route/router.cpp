@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <queue>
 
 #include "core/parallel.hpp"
 #include "obs/log.hpp"
@@ -72,15 +71,6 @@ inline int xylX(std::uint32_t p) { return static_cast<int>(p >> 20); }
 inline int xylY(std::uint32_t p) { return static_cast<int>((p >> 8) & 0xfffu); }
 inline int xylL(std::uint32_t p) { return static_cast<int>(p & 0xffu); }
 
-/// Monotone bucket queue: open-list entries keyed on floor(f / quantum).
-/// Pops ascend bucket index (A* f-costs are non-decreasing under the
-/// consistent heuristic, so a popped entry never belongs before the
-/// cursor); within a bucket, pending entries are sorted by exact
-/// (f, node, g) when the cursor reaches them, so the pop order matches the
-/// binary heap's (f, node-id) order except for entries appended to the
-/// already-drained part of the current bucket -- those pop at most one
-/// quantum late. Storage persists across searches (reset() clears only
-/// touched buckets).
 /// Per-node search state, packed into one 16-byte record so a relaxation
 /// touches a single cache line instead of three parallel arrays.
 struct NodeState {
@@ -89,6 +79,14 @@ struct NodeState {
   std::int32_t visit;
 };
 
+/// Monotone bucket queue: open-list entries keyed on floor(f / quantum).
+/// Pops ascend bucket index (A* f-costs are non-decreasing under the
+/// consistent heuristic, so a popped entry never belongs before the
+/// cursor); within a bucket, pending entries are sorted by exact
+/// (f, node) when the cursor reaches them, so the pop order is exact
+/// (f, node-id) order except for entries appended to the already-drained
+/// part of the current bucket -- those pop at most one quantum late.
+/// Storage persists across searches (reset() clears only touched buckets).
 struct BucketQueue {
   std::vector<std::vector<OpenEntry>> buckets;
   std::vector<int> head;      ///< per bucket: next entry to pop.
@@ -224,43 +222,6 @@ struct SearchScratch {
     epoch = 0;
     treeEpoch = 0;
   }
-};
-
-struct HeapGreater {
-  bool operator()(const OpenEntry& a, const OpenEntry& b) const {
-    if (a.f != b.f) return a.f > b.f;
-    return a.node > b.node;
-  }
-};
-
-/// Open list used by one search: the monotone bucket queue or, for the
-/// ablation/fallback configuration, the classic binary heap.
-class OpenList {
- public:
-  OpenList(bool useBuckets, BucketQueue& bq) : buckets_(useBuckets), bq_(&bq) {
-    if (buckets_) bq_->reset();
-  }
-
-  void push(const OpenEntry& e) {
-    if (buckets_) {
-      bq_->push(e);
-    } else {
-      heap_.push(e);
-    }
-  }
-
-  bool pop(OpenEntry& out, const NodeState* state, int epoch) {
-    if (buckets_) return bq_->pop(out, state, epoch);
-    if (heap_.empty()) return false;
-    out = heap_.top();
-    heap_.pop();
-    return true;
-  }
-
- private:
-  bool buckets_;
-  BucketQueue* bq_;
-  std::priority_queue<OpenEntry, std::vector<OpenEntry>, HeapGreater> heap_;
 };
 
 /// Negotiated-congestion router with deterministic batch parallelism.
@@ -534,7 +495,7 @@ class Router {
       // Usage and history are frozen except at batch commits below, and
       // presWeight_ only changes between iterations: rebuild the flat cost
       // caches here, patch per committed edge after each commit.
-      if (opt_.costCache) rebuildCostCaches();
+      rebuildCostCaches();
       const int batches = routePass(toRoute, result);
       // Collect overflow, build history, decide rip-up set. In ECO mode
       // the reused routes are FROZEN: only nets already in the dirty
@@ -661,16 +622,11 @@ class Router {
     for (const int r : active) {
       for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
         const NetRoute& nr = result.nets[static_cast<std::size_t>(n)];
-        for (const RouteSeg& s : nr.segs) addUsage(s, +1);
-        ++local;
-      }
-    }
-    if (opt_.costCache) {
-      for (const int r : active) {
-        for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-          const NetRoute& nr = result.nets[static_cast<std::size_t>(n)];
-          for (const RouteSeg& s : nr.segs) refreshCostCache(s);
+        for (const RouteSeg& s : nr.segs) {
+          addUsage(s, +1);
+          refreshCostCache(s);
         }
+        ++local;
       }
     }
     regionLocalNets_ += local;
@@ -729,16 +685,13 @@ class Router {
           threads_);
       // Commit phase: fixed (route-order, i.e. HPWL-then-NetId) order.
       // Usage increments commute, but a fixed order keeps this auditable.
+      // Only the committed edges' cached costs are patched; every other
+      // entry stays frozen until the next commit.
       for (std::size_t k = b0; k < b1; ++k) {
         const NetRoute& r = result.nets[static_cast<std::size_t>(toRoute[k])];
-        for (const RouteSeg& s : r.segs) addUsage(s, +1);
-      }
-      // Patch only the cache entries whose usage just changed; everything
-      // else is still frozen until the next commit.
-      if (opt_.costCache) {
-        for (std::size_t k = b0; k < b1; ++k) {
-          const NetRoute& r = result.nets[static_cast<std::size_t>(toRoute[k])];
-          for (const RouteSeg& s : r.segs) refreshCostCache(s);
+        for (const RouteSeg& s : r.segs) {
+          addUsage(s, +1);
+          refreshCostCache(s);
         }
       }
       ++batches;
@@ -765,28 +718,9 @@ class Router {
     return grid_.viaEdgeId(grid_.nodeX(s.fromNode), grid_.nodeY(s.fromNode), low);
   }
 
-  double wireCost(int e) const {
-    const int cap = grid_.wireCap(e);
-    if (cap == 0) return kInf;
-    const int use = wireUse_[static_cast<std::size_t>(e)];
-    const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
-    return (1.0 + static_cast<double>(wireHist_[static_cast<std::size_t>(e)])) * pres;
-  }
-
-  double viaCost(int v, int cut) const {
-    const int cap = grid_.viaCap(v);
-    if (cap == 0) return kInf;
-    const int use = viaUse_[static_cast<std::size_t>(v)];
-    const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
-    const double base = grid_.viaIsF2f(cut) ? opt_.f2fViaCost : opt_.viaCost;
-    return base * (1.0 + static_cast<double>(viaHist_[static_cast<std::size_t>(v)])) * pres;
-  }
-
-  /// Wire cost with \p extra uncommitted uses from the region overlay
-  /// stacked on the frozen shared usage. Mirrors wireCost exactly at
-  /// extra == 0 (never called then: delta lookups guard on a nonzero
-  /// overlay entry, preserving bit-identity with the cached path).
-  double wireCostExtra(int e, int extra) const {
+  /// Congestion cost of wire edge \p e with \p extra uncommitted uses
+  /// (the region overlay; 0 on the batch path) stacked on the shared usage.
+  double wireCost(int e, int extra) const {
     const int cap = grid_.wireCap(e);
     if (cap == 0) return kInf;
     const int use = static_cast<int>(wireUse_[static_cast<std::size_t>(e)]) + extra;
@@ -794,7 +728,8 @@ class Router {
     return (1.0 + static_cast<double>(wireHist_[static_cast<std::size_t>(e)])) * pres;
   }
 
-  double viaCostExtra(int v, int cut, int extra) const {
+  /// Congestion cost of via edge \p v on \p cut, as wireCost.
+  double viaCost(int v, int cut, int extra) const {
     const int cap = grid_.viaCap(v);
     if (cap == 0) return kInf;
     const int use = static_cast<int>(viaUse_[static_cast<std::size_t>(v)]) + extra;
@@ -813,14 +748,14 @@ class Router {
     par::parallelFor(
         0, static_cast<std::int64_t>(wireCostCache_.size()), kCostGrain,
         [&](std::int64_t e) {
-          wireCostCache_[static_cast<std::size_t>(e)] = wireCost(static_cast<int>(e));
+          wireCostCache_[static_cast<std::size_t>(e)] = wireCost(static_cast<int>(e), 0);
         },
         threads_);
     par::parallelFor(
         0, static_cast<std::int64_t>(viaCostCache_.size()), kCostGrain,
         [&](std::int64_t v) {
           viaCostCache_[static_cast<std::size_t>(v)] =
-              viaCost(static_cast<int>(v), static_cast<int>(v) / perLayer);
+              viaCost(static_cast<int>(v), static_cast<int>(v) / perLayer, 0);
         },
         threads_);
   }
@@ -831,20 +766,16 @@ class Router {
     if (s.isVia) {
       const int low = std::min(grid_.nodeLayer(s.fromNode), grid_.nodeLayer(s.toNode));
       const int v = grid_.viaEdgeId(grid_.nodeX(s.fromNode), grid_.nodeY(s.fromNode), low);
-      viaCostCache_[static_cast<std::size_t>(v)] = viaCost(v, low);
+      viaCostCache_[static_cast<std::size_t>(v)] = viaCost(v, low, 0);
     } else {
       const int e = wireEdgeOf(s.fromNode, s.toNode);
-      wireCostCache_[static_cast<std::size_t>(e)] = wireCost(e);
+      wireCostCache_[static_cast<std::size_t>(e)] = wireCost(e, 0);
     }
   }
 
-  double cachedWireCost(int e) const {
-    return opt_.costCache ? wireCostCache_[static_cast<std::size_t>(e)] : wireCost(e);
-  }
+  double cachedWireCost(int e) const { return wireCostCache_[static_cast<std::size_t>(e)]; }
 
-  double cachedViaCost(int v, int cut) const {
-    return opt_.costCache ? viaCostCache_[static_cast<std::size_t>(v)] : viaCost(v, cut);
-  }
+  double cachedViaCost(int v) const { return viaCostCache_[static_cast<std::size_t>(v)]; }
 
   bool edgeOverflowed(const RouteSeg& s) const {
     if (s.isVia) {
@@ -920,7 +851,8 @@ class Router {
               std::vector<int>& path, SearchScratch& s, const RegionDelta* delta,
               double cf) const {
     ++s.epoch;
-    OpenList open(opt_.bucketQueue, s.open);
+    BucketQueue& open = s.open;
+    open.reset();
     const int tx = grid_.nodeX(target);
     const int ty = grid_.nodeY(target);
     const int tl = grid_.nodeLayer(target);
@@ -944,7 +876,7 @@ class Router {
     auto wCost = [&](int e) {
       double c;
       if (delta != nullptr && delta->wire[static_cast<std::size_t>(e)] != 0) {
-        c = wireCostExtra(e, static_cast<int>(delta->wire[static_cast<std::size_t>(e)]));
+        c = wireCost(e, static_cast<int>(delta->wire[static_cast<std::size_t>(e)]));
       } else {
         c = cachedWireCost(e);
       }
@@ -954,9 +886,9 @@ class Router {
     auto vCost = [&](int v, int cut) {
       double c;
       if (delta != nullptr && delta->via[static_cast<std::size_t>(v)] != 0) {
-        c = viaCostExtra(v, cut, static_cast<int>(delta->via[static_cast<std::size_t>(v)]));
+        c = viaCost(v, cut, static_cast<int>(delta->via[static_cast<std::size_t>(v)]));
       } else {
-        c = cachedViaCost(v, cut);
+        c = cachedViaCost(v);
       }
       if (cf > 0.0) {
         const double b = viaBase_[static_cast<std::size_t>(cut)];

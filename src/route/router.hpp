@@ -51,14 +51,6 @@ struct RouterOptions {
   /// algorithm, not the schedule). 1 reproduces fully sequential
   /// negotiation; larger batches expose more parallelism.
   int batchSize = 24;
-  /// Frozen per-batch edge-cost caches. Usage/history are read-only while a
-  /// batch is in flight, so wire/via costs are materialized into flat
-  /// arrays once per rip-up iteration (parallel, deterministic chunking)
-  /// and patched per committed edge after each batch; search() then reads
-  /// one cached double per relaxation instead of recomputing the branchy
-  /// cost formula. Pure speedup: cached values equal the recomputed ones
-  /// bit for bit, so routes are unchanged.
-  bool costCache = true;
   /// Windowed A*: restrict each sink search to the bounding box of the
   /// current tree plus the sink, inflated by this many gcells. When a
   /// window search fails the halo doubles deterministically until the
@@ -70,12 +62,6 @@ struct RouterOptions {
   /// the search and keeps negotiation local (measurably lower overflow
   /// than full-grid search on the benchmark tiles).
   int searchHaloGcells = 1;
-  /// Monotone bucket open list keyed on quantized f-cost with a stable
-  /// node-id tiebreak instead of a binary heap: O(1) push/pop, no per-pop
-  /// log factor. Tie order differs from the heap, so individual routes may
-  /// differ at equal cost; both open lists are deterministic at any thread
-  /// count.
-  bool bucketQueue = true;
   /// Region-parallel negotiation: shard the gcell plane into rectangular
   /// regions of this nominal edge length (see region_partition.hpp -- a
   /// pure function of the grid dims and this knob, never the schedule).

@@ -14,6 +14,9 @@ namespace m3d {
 
 namespace {
 constexpr double kNoArrival = -1e30;
+/// Floor of Sta::findMinPeriod [ps]: a design with no timed path reports
+/// this period rather than zero.
+constexpr double kMinPeriodFloorPs = 50.0;
 /// Pins per parallelFor chunk inside one topological level.
 constexpr std::int64_t kLevelGrain = 64;
 }
@@ -921,9 +924,8 @@ std::vector<double> Sta::portArrivals(double period) const {
   return out;
 }
 
-double Sta::findMinPeriod(double loPs, double hiPs) const {
+double Sta::findMinPeriod() const {
   obs::ScopedPhase phase("sta.find_min_period");
-  (void)hiPs;  // the exact solve needs no bracket; kept for call compatibility
   ensureParam();
 
   // Each endpoint contributes closed-form bounds on T. With s' the derated
@@ -932,7 +934,7 @@ double Sta::findMinPeriod(double loPs, double hiPs) const {
   //                         T/2 + dH <= T - s' + ...    => T >= 2 (dH + s' - lat + unc)
   //   full-cycle out port:  T >= d0,  T >= 2 dH
   //   half-cycle out port:  T >= 2 d0; dH > 0 is infeasible at any period.
-  double t = loPs * 1e-12;
+  double t = kMinPeriodFloorPs * 1e-12;
   bool infeasible = false;
   for (const int e : endpoints_) {
     const double a0 = arr0_[static_cast<std::size_t>(e)];

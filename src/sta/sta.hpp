@@ -145,14 +145,12 @@ class Sta {
   /// solution). Checked by the optimizer.
   static constexpr double kInfeasiblePeriod = std::numeric_limits<double>::infinity();
 
-  /// Smallest feasible period [s], clamped to >= loPs picoseconds, from a
-  /// single parametric arrival sweep: arc delays are period-independent, so
-  /// each endpoint yields a closed-form bound on T (full-cycle launches
-  /// bound T directly, half-cycle launches bound T/2). Returns
-  /// kInfeasiblePeriod (and records sta.min_period_infeasible) when
-  /// unsatisfiable. \p hiPs is accepted for signature compatibility with
-  /// the bisection cross-check; the exact solve does not need a bracket.
-  double findMinPeriod(double loPs = 50.0, double hiPs = 100000.0) const;
+  /// Smallest feasible period [s], clamped to >= 50 ps, from a single
+  /// parametric arrival sweep: arc delays are period-independent, so each
+  /// endpoint yields a closed-form bound on T (full-cycle launches bound T
+  /// directly, half-cycle launches bound T/2). Returns kInfeasiblePeriod
+  /// (and records sta.min_period_infeasible) when unsatisfiable.
+  double findMinPeriod() const;
 
   /// Legacy bisection on worstSlack within [loPs, hiPs] picoseconds; kept
   /// as a cross-check for findMinPeriod. Returns kInfeasiblePeriod (with a

@@ -430,10 +430,12 @@ int checkpointFileCount(const std::string& dir) {
 struct CacheCounters {
   double hits, misses, writes, restoreFailures;
   static CacheCounters read() {
-    return CacheCounters{obs::counter("db.stage_cache_hits").value(),
-                         obs::counter("db.stage_cache_misses").value(),
-                         obs::counter("db.stage_checkpoints_written").value(),
-                         obs::counter("db.stage_cache_restore_failures").value()};
+    const auto get = [](const char* name) {
+      return static_cast<double>(obs::counter(name).value());
+    };
+    return CacheCounters{get("db.stage_cache_hits"), get("db.stage_cache_misses"),
+                         get("db.stage_checkpoints_written"),
+                         get("db.stage_cache_restore_failures")};
   }
 };
 

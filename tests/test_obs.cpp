@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "serve/protocol.hpp"
 
 namespace m3d::obs {
 namespace {
@@ -272,6 +273,26 @@ TEST(ObsJson, ParseErrors) {
   EXPECT_FALSE(parseJson("true false", &err).has_value());
   EXPECT_FALSE(parseJson("", &err).has_value());
   EXPECT_TRUE(parseJson("[1,2,3]").has_value());
+}
+
+TEST(ObsJson, NestingDepthCapped) {
+  // One client line of unbalanced '[' must fail closed, not recurse until
+  // the stack overflows.
+  std::string err;
+  EXPECT_FALSE(parseJson(std::string(100000, '['), &err).has_value());
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  // The cap sits at 256 levels: exactly 256 parses, 257 does not.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parseJson(nested(256)).has_value());
+  EXPECT_FALSE(parseJson(nested(257)).has_value());
+  // An ordinary serve request still parses.
+  const auto req = parseJson(serve::encodeSubmit(serve::JobSpec{}), &err);
+  ASSERT_TRUE(req.has_value()) << err;
+  ASSERT_NE(req->find("op"), nullptr);
+  EXPECT_EQ(req->find("op")->str, "submit");
 }
 
 TEST(ObsRunReport, JsonRoundTrip) {

@@ -118,7 +118,9 @@ TEST_F(VerifySignoff, DeletedSegmentCaughtAsOpen) {
   }
   // Every error the scoped run reports points at the corrupted net.
   for (const Violation& v : rep.violations) {
-    if (severityOf(v.kind) == Severity::kError) EXPECT_EQ(v.net, victim);
+    if (severityOf(v.kind) == Severity::kError) {
+      EXPECT_EQ(v.net, victim);
+    }
   }
 }
 
