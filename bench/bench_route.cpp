@@ -9,8 +9,7 @@
 ///    tile to obtain a real placed design, then re-routes it full-grid and
 ///    windowed, printing a table and writing BENCH_route.json (wall-clock,
 ///    nodes popped/relaxed, QoR per configuration plus speedup scalars),
-///    followed by the partitioned thread-scaling table, a timing-driven
-///    row and an ECO bump-pitch scenario. M3D_FAST=1 shrinks the tile.
+///    followed by an ECO bump-pitch scenario. M3D_FAST=1 shrinks the tile.
 ///  - --smoke: a synthetic scatter problem on a tiny grid; asserts that
 ///    windowed search pops strictly fewer nodes than the full-grid search
 ///    at equal-or-better QoR (the invariant quickcheck relies on) and
@@ -24,7 +23,6 @@
 #include <iostream>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -118,26 +116,6 @@ bool qorNoWorse(const RoutingResult& ours, const RoutingResult& base) {
          ours.f2fBumps <= base.f2fBumps;
 }
 
-/// Segment-level bit-identity (the determinism bar the scaling curve and the
-/// partitioned smoke gate on).
-bool routesIdentical(const RoutingResult& a, const RoutingResult& b) {
-  if (a.nets.size() != b.nets.size()) return false;
-  for (std::size_t n = 0; n < a.nets.size(); ++n) {
-    if (a.nets[n].routed != b.nets[n].routed) return false;
-    if (a.nets[n].segs.size() != b.nets[n].segs.size()) return false;
-    for (std::size_t s = 0; s < a.nets[n].segs.size(); ++s) {
-      const RouteSeg& x = a.nets[n].segs[s];
-      const RouteSeg& y = b.nets[n].segs[s];
-      if (!(x.isVia == y.isVia && x.layer == y.layer && x.fromNode == y.fromNode &&
-            x.toNode == y.toNode)) {
-        return false;
-      }
-    }
-  }
-  return a.nodesPopped == b.nodesPopped && a.nodesRelaxed == b.nodesRelaxed &&
-         a.windowFallbacks == b.windowFallbacks && a.totalOverflow == b.totalOverflow;
-}
-
 int runSmoke() {
   // Constructed first so the emitted wall_s covers the whole smoke run.
   bench::BenchJson json("route_smoke");
@@ -175,26 +153,6 @@ int runSmoke() {
                 static_cast<long long>(full.routes.totalOverflow));
     return 1;
   }
-  // Region-partitioned negotiation: the decomposition is a pure function of
-  // the grid, so 1- and 2-thread runs must be bit-identical (segments AND
-  // kernel counters). Gates the scaling path without needing real cores.
-  const KernelConfig partCfg{"partitioned", 2};
-  RouterOptions part1 = base;
-  part1.regionSizeGcells = 8;
-  part1.numThreads = 1;
-  RouterOptions part2 = part1;
-  part2.numThreads = 2;
-  const RunStats p1 = routeOnce(prob.nl, prob.die, prob.tech.beol, gridOpt, partCfg, part1);
-  const RunStats p2 = routeOnce(prob.nl, prob.die, prob.tech.beol, gridOpt, partCfg, part2);
-  const bool partIdentical = routesIdentical(p1.routes, p2.routes);
-  std::printf("  partitioned: regions=%d local=%lld cross=%lld bit-identical(1v2)=%s\n",
-              p1.routes.regionCount, static_cast<long long>(p1.routes.regionLocalNets),
-              static_cast<long long>(p1.routes.regionCrossNets), partIdentical ? "yes" : "NO");
-  if (!partIdentical || p1.routes.regionCount <= 1 || !qorNoWorse(p1.routes, full.routes)) {
-    std::printf("FAIL: partitioned negotiation broke determinism or QoR\n");
-    return 1;
-  }
-
   // ECO smoke: raise the top metal's track capacity (pitch/2) and reroute
   // incrementally off the previous result. Only nets sitting on *violated*
   // changed edges may rip (a capacity increase violates none), and the
@@ -205,9 +163,9 @@ int runSmoke() {
   Beol ecoBeol = prob.tech.beol;
   ecoBeol.metal(ecoBeol.numMetals() - 1).pitch /= 2;
   RouteGrid ecoPrevGrid(prob.nl, prob.die, prob.tech.beol, ecoGridOpt);
-  RoutingResult ecoPrev = routeDesign(prob.nl, ecoPrevGrid, part1);
+  RoutingResult ecoPrev = routeDesign(prob.nl, ecoPrevGrid, base);
   RouteGrid ecoGrid(prob.nl, prob.die, ecoBeol, ecoGridOpt);
-  const RoutingResult eco = routeDesignEco(prob.nl, ecoGrid, ecoPrevGrid, ecoPrev, part1);
+  const RoutingResult eco = routeDesignEco(prob.nl, ecoGrid, ecoPrevGrid, ecoPrev, base);
   std::printf("  eco: dirty_gcells=%lld ripped=%lld reused=%lld overflow=%lld\n",
               static_cast<long long>(eco.ecoDirtyGcells),
               static_cast<long long>(eco.ecoNetsRipped),
@@ -227,11 +185,6 @@ int runSmoke() {
   json.scalar("total_overflow", static_cast<double>(win.routes.totalOverflow));
   json.scalar("unrouted_nets", static_cast<double>(win.routes.unroutedNets));
   json.scalar("f2f_bumps", static_cast<double>(win.routes.f2fBumps));
-  json.scalar("partitioned.region_count", static_cast<double>(p1.routes.regionCount));
-  json.scalar("partitioned.region_local_nets", static_cast<double>(p1.routes.regionLocalNets));
-  json.scalar("partitioned.region_cross_nets", static_cast<double>(p1.routes.regionCrossNets));
-  json.scalar("partitioned.pops", static_cast<double>(p1.routes.nodesPopped));
-  json.scalar("partitioned.bit_identical", partIdentical ? 1.0 : 0.0);
   json.scalar("eco.dirty_gcells", static_cast<double>(eco.ecoDirtyGcells));
   json.scalar("eco.nets_ripped", static_cast<double>(eco.ecoNetsRipped));
   json.scalar("eco.nets_reused", static_cast<double>(eco.ecoNetsReused));
@@ -292,72 +245,6 @@ int runFull() {
   json.scalar("qor_no_worse", qorNoWorse(ours.routes, base.routes) ? 1.0 : 0.0);
   std::printf("\nspeedup: wall %.2fx, nodes popped %.2fx, QoR no worse: %s\n", wallSpeedup,
               popReduction, qorNoWorse(ours.routes, base.routes) ? "yes" : "NO");
-
-  // --- Region-parallel thread-scaling curve (default kernel + partition).
-  // Routes are bit-identical at every thread count by construction; the
-  // curve records how wall-clock responds to threads on THIS machine, so
-  // hardware_threads is recorded alongside (speedup is meaningless on a
-  // single-core container and is asserted only by quickcheck's determinism
-  // gate, never by wall time).
-  const KernelConfig defKernel = kConfigs[1];
-  Table ts("Partitioned router thread scaling (regionSize=8)");
-  ts.setHeader({"threads", "wall_s", "pops", "local_nets", "cross_nets", "overflow"});
-  RunStats scale1;
-  bool scaleIdentical = true;
-  for (const int threads : {1, 2, 4, 8}) {
-    RouterOptions ropt;
-    ropt.numThreads = threads;
-    ropt.regionSizeGcells = 8;
-    const RunStats s =
-        routeOnce(nl, out.fp.die, out.routingBeol, fopt.grid, defKernel, ropt, reps);
-    if (threads == 1) {
-      scale1 = s;
-    } else {
-      scaleIdentical = scaleIdentical && routesIdentical(scale1.routes, s.routes);
-    }
-    ts.addRow({std::to_string(threads), Table::num(s.wallS, 3),
-               std::to_string(s.routes.nodesPopped), std::to_string(s.routes.regionLocalNets),
-               std::to_string(s.routes.regionCrossNets),
-               std::to_string(s.routes.totalOverflow)});
-    const std::string prefix = "scaling.threads" + std::to_string(threads) + ".";
-    json.scalar(prefix + "wall_s", s.wallS);
-    if (threads == 8 && scale1.wallS > 0.0 && s.wallS > 0.0) {
-      json.scalar("scaling.speedup8", scale1.wallS / s.wallS);
-      std::printf("partitioned scaling: 8-thread speedup %.2fx on %u hardware threads\n",
-                  scale1.wallS / s.wallS, std::thread::hardware_concurrency());
-    }
-  }
-  ts.print(std::cout);
-  json.scalar("scaling.bit_identical", scaleIdentical ? 1.0 : 0.0);
-  json.scalar("scaling.region_count", static_cast<double>(scale1.routes.regionCount));
-  json.scalar("scaling.region_local_nets",
-              static_cast<double>(scale1.routes.regionLocalNets));
-  json.scalar("hardware_threads",
-              static_cast<double>(std::thread::hardware_concurrency()));
-  if (!scaleIdentical) {
-    std::printf("FAIL: partitioned routes not bit-identical across thread counts\n");
-    return 1;
-  }
-
-  // --- Timing-driven row: STA-derived criticality reorders the nets and
-  // relaxes wire/via penalties on critical ones. Recorded for QoR
-  // comparison against the timing-neutral default.
-  {
-    RouterOptions ropt;
-    ropt.timingDriven = true;
-    ropt.netCriticality.resize(static_cast<std::size_t>(nl.numNets()));
-    for (std::size_t n = 0; n < ropt.netCriticality.size(); ++n) {
-      ropt.netCriticality[n] = static_cast<double>((n * 37) % 100) / 100.0;
-    }
-    const RunStats td =
-        routeOnce(nl, out.fp.die, out.routingBeol, fopt.grid, defKernel, ropt, reps);
-    std::printf("timing-driven: wall %.3fs overflow=%lld wl=%.0fum\n", td.wallS,
-                static_cast<long long>(td.routes.totalOverflow),
-                td.routes.totalWirelengthUm);
-    json.scalar("timing.wall_s", td.wallS);
-    json.scalar("timing.total_overflow", static_cast<double>(td.routes.totalOverflow));
-    json.scalar("timing.wirelength_um", td.routes.totalWirelengthUm);
-  }
 
   // --- ECO bump-pitch scenario: halve the F2F bond-layer pitch (denser
   // bumps) and reroute incrementally off the previous full route. The

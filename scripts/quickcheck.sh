@@ -38,11 +38,11 @@ mkdir -p "$SMOKE_DIR"
   --wall-threshold 75
 echo "quickcheck: regression gate self-consistency OK"
 
-# Checked-in baseline gate: the smoke scalars (kernel pops, partitioned
-# region census + 1v2-thread bit-identity, ECO reuse counts) are pure
-# functions of the algorithm, so they must match bench/baselines/ exactly
-# on any machine. Only wall clock varies across hosts; the huge threshold
-# effectively exempts it while still catching a hung run.
+# Checked-in baseline gate: the smoke scalars (kernel pops, overflow, ECO
+# reuse counts) are pure functions of the algorithm, so they must match
+# bench/baselines/ exactly on any machine. Only wall clock varies across
+# hosts; the huge threshold effectively exempts it while still catching a
+# hung run.
 "$BUILD_ABS/src/report/m3d_report" diff bench/baselines/BENCH_route_smoke.json \
   "$SMOKE_DIR/cur.json" --wall-threshold 10000
 echo "quickcheck: route smoke matches checked-in baseline"

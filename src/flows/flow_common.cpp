@@ -650,35 +650,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     obs::ScopedPhase phase(kPipelineStageNames[3]);  // route
     if (cache.enabled()) phase.attr("cache_hit", stageRestored(3) ? 1.0 : 0.0);
     if (!stageRestored(3)) {
-    RouterOptions ropt = opt.router;
     out.grid = std::make_unique<RouteGrid>(nl, out.fp.die, out.routingBeol, opt.grid);
-    // Timing-driven routing: per-net criticality from an STA over the
-    // placed design's estimated parasitics (routed parasitics do not exist
-    // yet), evaluated at the design's own achievable period so the
-    // criticality spread is meaningful regardless of the target. The same
-    // persistent engine then backs the mid-route refresh hook: between
-    // rip-up rounds the router hands back the (fully routed) geometry, we
-    // re-extract real parasitics into the same vector, and the engine
-    // re-propagates arrivals without rebuilding its graph.
-    if (ropt.timingDriven && ropt.netCriticality.empty()) {
-      obs::ScopedPhase crit("route.criticality");
-      EstimationOptions eopt =
-          makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-      eopt.lengthScale = flags.estimationLengthScale;
-      auto est = std::make_shared<std::vector<NetParasitics>>(estimateDesign(nl, eopt));
-      auto sta = std::make_shared<Sta>(nl, *est, nullptr, kTypicalCorner, opt.numThreads);
-      ropt.netCriticality = sta->netCriticality(sta->findMinPeriod());
-      crit.attr("nets", static_cast<double>(ropt.netCriticality.size()));
-      if (ropt.critRefreshEvery > 0) {
-        const Netlist* nlp = &nl;
-        const RouteGrid* grid = out.grid.get();
-        ropt.criticalityRefresh = [nlp, est, sta, grid](const RoutingResult& routes) {
-          *est = extractDesign(*nlp, *grid, routes);
-          sta->invalidateAllNets();
-          return sta->netCriticality(sta->findMinPeriod());
-        };
-      }
-    }
     // Incremental ECO reroute: seed from a prior run's stage checkpoint
     // when one is named; any load/compat failure degrades to a full route.
     bool ecoRouted = false;
@@ -686,9 +658,13 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
       FlowOutput prevOut;
       const db::DbStatus st = loadFlowCheckpoint(opt.ecoRouteFrom, prevOut);
       if (st.ok() && prevOut.tile != nullptr && !prevOut.routes.nets.empty()) {
+        // LRU touch: a seed a designer keeps reusing must outlive entries
+        // nobody reads, or ECOs silently degrade to full routes once the
+        // byte budget starts evicting. No-op for a seed outside the cache.
+        cache.noteUsed(opt.ecoRouteFrom);
         const RouteGrid prevGrid(prevOut.tile->netlist, prevOut.fp.die, prevOut.routingBeol,
                                  opt.grid);
-        out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, ropt);
+        out.routes = routeDesignEco(nl, *out.grid, prevGrid, prevOut.routes, opt.router);
         ecoRouted = true;
         phase.attr("eco_nets_ripped", static_cast<double>(out.routes.ecoNetsRipped));
         phase.attr("eco_nets_reused", static_cast<double>(out.routes.ecoNetsReused));
@@ -705,7 +681,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
                       << "); running a full route";
       }
     }
-    if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, ropt);
+    if (!ecoRouted) out.routes = routeDesign(nl, *out.grid, opt.router);
     phase.attr("wl_m", displayM(out.routes.totalWirelengthUm));
     phase.attr("f2f_bumps", static_cast<double>(out.routes.f2fBumps));
     phase.attr("overflow_edges", out.routes.overflowedEdges);

@@ -10,7 +10,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "route/region_partition.hpp"
 
 namespace m3d {
 
@@ -45,12 +44,6 @@ constexpr int kMaxBucket = (1 << 20) - 1;
 /// Upper bound on routing layers, fixed by the 8-bit layer field of the
 /// packed OpenEntry coordinates.
 constexpr int kMaxRouteLayers = 256;
-
-/// Ceiling on the per-net criticality factor. A factor of exactly 1 would
-/// blend a blocked edge's infinite cost as 0 * inf = NaN; capping at 0.99
-/// keeps blocked edges infinite while still letting the most critical nets
-/// route almost purely on base cost.
-constexpr double kMaxCritFactor = 0.99;
 
 /// One open-list entry. Gcell coordinates ride along packed in \c xyl
 /// (x:12, y:12, layer:8 bits) so neither pop nor heuristic evaluation has
@@ -158,38 +151,6 @@ struct BucketQueue {
   }
 };
 
-/// Per-slot usage overlay for region-parallel negotiation. While a region's
-/// nets route sequentially on one pool slot, their uncommitted usage
-/// accumulates here so later nets of the same region negotiate against it;
-/// the shared arrays stay frozen until the ordered cross-region commit.
-/// Dense u16 arrays mirror the grid's edge spaces (O(1) lookup in the
-/// search hot path); touched-lists make clearing O(edges actually used).
-struct RegionDelta {
-  std::vector<std::uint16_t> wire;
-  std::vector<std::uint16_t> via;
-  std::vector<int> touchedWire;
-  std::vector<int> touchedVia;
-
-  void ensure(std::size_t numWire, std::size_t numVia) {
-    if (wire.size() != numWire) wire.assign(numWire, 0);
-    if (via.size() != numVia) via.assign(numVia, 0);
-  }
-
-  void clear() {
-    for (const int e : touchedWire) wire[static_cast<std::size_t>(e)] = 0;
-    for (const int v : touchedVia) via[static_cast<std::size_t>(v)] = 0;
-    touchedWire.clear();
-    touchedVia.clear();
-  }
-
-  void addWire(int e) {
-    if (wire[static_cast<std::size_t>(e)]++ == 0) touchedWire.push_back(e);
-  }
-  void addVia(int v) {
-    if (via[static_cast<std::size_t>(v)]++ == 0) touchedVia.push_back(v);
-  }
-};
-
 /// Inclusive gcell bounds of one windowed search.
 struct Window {
   int x0 = 0;
@@ -272,17 +233,6 @@ class Router {
     layerHoriz_.resize(static_cast<std::size_t>(grid_.numLayers()));
     for (int l = 0; l < grid_.numLayers(); ++l) {
       layerHoriz_[static_cast<std::size_t>(l)] = grid_.layerHorizontal(l) ? 1 : 0;
-    }
-    if (opt_.regionSizeGcells > 0) {
-      part_ = RegionPartition::make(grid_.nx(), grid_.ny(), opt_.regionSizeGcells);
-      deltas_.resize(static_cast<std::size_t>(par::maxSlots()));
-    }
-    // Criticality factors start from the pre-route STA and stay fixed
-    // unless opt_.criticalityRefresh re-derives them between rip-up rounds;
-    // precomputing the flat table keeps the per-net cost blend and the
-    // ordering comparator branch-free on the hot paths.
-    if (opt_.timingDriven && !opt_.netCriticality.empty()) {
-      setCriticality(opt_.netCriticality);
     }
     everRipped_.assign(static_cast<std::size_t>(nl_.numNets()), 0);
   }
@@ -441,8 +391,8 @@ class Router {
   }
 
  private:
-  /// Builds the full route order: every multi-pin net, most-critical first
-  /// when timing-driven, then shortest first (stable by id).
+  /// Builds the full route order: every multi-pin net, shortest first
+  /// (stable by id).
   void buildOrder() {
     order_.clear();
     for (NetId n = 0; n < nl_.numNets(); ++n) {
@@ -451,33 +401,14 @@ class Router {
     sortNets(order_);
   }
 
-  /// Deterministic net ordering: criticality descending (timing-driven
-  /// runs), then HPWL ascending, then id. With no criticality this is
-  /// exactly the historical shortest-first order.
+  /// Deterministic net ordering: HPWL ascending, then id.
   void sortNets(std::vector<NetId>& nets) const {
     std::sort(nets.begin(), nets.end(), [this](NetId a, NetId b) {
-      if (!critFactor_.empty()) {
-        const double ca = critFactor_[static_cast<std::size_t>(a)];
-        const double cb = critFactor_[static_cast<std::size_t>(b)];
-        if (ca != cb) return ca > cb;
-      }
       const Dbu ha = nl_.netHpwl(a);
       const Dbu hb = nl_.netHpwl(b);
       if (ha != hb) return ha < hb;
       return a < b;
     });
-  }
-
-  /// (Re)derives the flat criticality-factor table from per-net
-  /// criticalities: factor = min(clamp(c, 0, 1)^exponent, kMaxCritFactor).
-  void setCriticality(const std::vector<double>& crit) {
-    critFactor_.assign(static_cast<std::size_t>(nl_.numNets()), 0.0);
-    const double exp = std::max(opt_.criticalityExponent, 1e-6);
-    const std::size_t n = std::min(critFactor_.size(), crit.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double c = std::clamp(crit[i], 0.0, 1.0);
-      critFactor_[i] = std::min(std::pow(c, exp), kMaxCritFactor);
-    }
   }
 
   /// The negotiation loop: routes \p toRoute, then repeatedly rips up and
@@ -496,7 +427,7 @@ class Router {
       // presWeight_ only changes between iterations: rebuild the flat cost
       // caches here, patch per committed edge after each commit.
       rebuildCostCaches();
-      const int batches = routePass(toRoute, result);
+      const int batches = routeBatches(toRoute, result);
       // Collect overflow, build history, decide rip-up set. In ECO mode
       // the reused routes are FROZEN: only nets already in the dirty
       // cohort (everRipped_) may rip up again. Without this, any reused
@@ -545,17 +476,6 @@ class Router {
                      << " ripup=" << ripup.size();
       if (ripup.empty()) break;
       if (iter + 1 >= opt_.maxIterations) break;
-      // Refresh criticalities while the result is still fully routed (the
-      // rip-up set is unrouted just below), so the callback can extract
-      // real parasitics from the complete geometry. The new factors feed
-      // the sortNets call on this round's rip-up cohort.
-      if (opt_.timingDriven && opt_.criticalityRefresh && opt_.critRefreshEvery > 0 &&
-          (iter + 1) % opt_.critRefreshEvery == 0) {
-        obs::ScopedPhase crit("route.crit_refresh");
-        setCriticality(opt_.criticalityRefresh(result));
-        obs::counter("route.crit_refreshes").add(1);
-        crit.attr("iter", static_cast<double>(iter + 1));
-      }
       for (NetId n : ripup) {
         everRipped_[static_cast<std::size_t>(n)] = 1;
         unroute(result.nets[static_cast<std::size_t>(n)]);
@@ -566,106 +486,6 @@ class Router {
       sortNets(toRoute);
       presWeight_ *= opt_.presentWeightGrowth;
     }
-  }
-  /// One routing pass over \p toRoute: the region-parallel path when
-  /// partitioning is enabled (region-local nets first, then the
-  /// boundary-crossing remainder through the classic batches), plain
-  /// batches otherwise. Returns the number of parallel work units for the
-  /// iteration telemetry.
-  int routePass(const std::vector<NetId>& toRoute, RoutingResult& result) {
-    if (opt_.regionSizeGcells <= 0) return routeBatches(toRoute, result);
-
-    // Bucket by region: a pure function of the pin gcells and the
-    // partition. Bucket order preserves the (sorted) toRoute order.
-    std::vector<std::vector<NetId>> byRegion(static_cast<std::size_t>(part_.numRegions()));
-    std::vector<NetId> cross;
-    for (const NetId n : toRoute) {
-      const int r = regionOfNet(n);
-      if (r < 0) {
-        cross.push_back(n);
-      } else {
-        byRegion[static_cast<std::size_t>(r)].push_back(n);
-      }
-    }
-    std::vector<int> active;
-    for (int r = 0; r < part_.numRegions(); ++r) {
-      if (!byRegion[static_cast<std::size_t>(r)].empty()) active.push_back(r);
-    }
-    // Region pass: each active region routes its nets *sequentially*
-    // against the frozen shared state plus its own uncommitted overlay
-    // (intra-region negotiation); regions are independent, so they run
-    // concurrently. The overlay makes the result a pure function of the
-    // bucket contents -- never of which slot or thread ran the region.
-    par::parallelFor(
-        0, static_cast<std::int64_t>(active.size()), 1,
-        [&](std::int64_t k) {
-          const int r = active[static_cast<std::size_t>(k)];
-          SearchScratch& s = scratchForSlot();
-          RegionDelta& d = deltaForSlot();
-          d.clear();
-          for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-            NetRoute& out = result.nets[static_cast<std::size_t>(n)];
-            routeNet(n, out, s, &d);
-            for (const RouteSeg& seg : out.segs) {
-              if (seg.isVia) {
-                d.addVia(viaEdgeOf(seg));
-              } else {
-                d.addWire(wireEdgeOf(seg.fromNode, seg.toNode));
-              }
-            }
-          }
-        },
-        threads_);
-    // Ordered commit: ascending region id, nets in bucket order -- fixed
-    // before any search ran.
-    std::int64_t local = 0;
-    for (const int r : active) {
-      for (const NetId n : byRegion[static_cast<std::size_t>(r)]) {
-        const NetRoute& nr = result.nets[static_cast<std::size_t>(n)];
-        for (const RouteSeg& s : nr.segs) {
-          addUsage(s, +1);
-          refreshCostCache(s);
-        }
-        ++local;
-      }
-    }
-    regionLocalNets_ += local;
-    regionCrossNets_ += static_cast<std::int64_t>(cross.size());
-    obs::series("route.region_iter_nets").record(static_cast<double>(local));
-    // Cross-region nets negotiate through the classic batch path against
-    // the state the regions just committed.
-    return static_cast<int>(active.size()) + routeBatches(cross, result);
-  }
-
-  /// Region owning a net, or -1 when its pin bounding box crosses regions.
-  /// A pure function of the pin gcells and the partition (the *routed*
-  /// path may still stray outside the region via the window fallback
-  /// ladder; the overlay covers the whole grid, so accounting stays exact
-  /// and any inter-region conflict is negotiated away next iteration, the
-  /// same way batch-parallel conflicts always have been).
-  int regionOfNet(NetId netId) const {
-    const Net& net = nl_.net(netId);
-    int x0 = grid_.nx();
-    int y0 = grid_.ny();
-    int x1 = -1;
-    int y1 = -1;
-    for (const NetPin& pin : net.pins) {
-      const int node = grid_.pinNode(nl_, pin);
-      const int x = grid_.nodeX(node);
-      const int y = grid_.nodeY(node);
-      x0 = std::min(x0, x);
-      y0 = std::min(y0, y);
-      x1 = std::max(x1, x);
-      y1 = std::max(y1, y);
-    }
-    return part_.regionOfBox(x0, y0, x1, y1);
-  }
-
-  RegionDelta& deltaForSlot() {
-    auto& p = deltas_[static_cast<std::size_t>(par::currentSlot())];
-    if (!p) p = std::make_unique<RegionDelta>();
-    p->ensure(wireUse_.size(), viaUse_.size());
-    return *p;
   }
 
   /// Routes \p toRoute in fixed-size batches: parallel read-only search,
@@ -680,7 +500,7 @@ class Router {
           static_cast<std::int64_t>(b0), static_cast<std::int64_t>(b1), 1,
           [&](std::int64_t k) {
             const NetId n = toRoute[static_cast<std::size_t>(k)];
-            routeNet(n, result.nets[static_cast<std::size_t>(n)], scratchForSlot(), nullptr);
+            routeNet(n, result.nets[static_cast<std::size_t>(n)], scratchForSlot());
           },
           threads_);
       // Commit phase: fixed (route-order, i.e. HPWL-then-NetId) order.
@@ -718,21 +538,20 @@ class Router {
     return grid_.viaEdgeId(grid_.nodeX(s.fromNode), grid_.nodeY(s.fromNode), low);
   }
 
-  /// Congestion cost of wire edge \p e with \p extra uncommitted uses
-  /// (the region overlay; 0 on the batch path) stacked on the shared usage.
-  double wireCost(int e, int extra) const {
+  /// Congestion cost of wire edge \p e under the shared usage/history.
+  double wireCost(int e) const {
     const int cap = grid_.wireCap(e);
     if (cap == 0) return kInf;
-    const int use = static_cast<int>(wireUse_[static_cast<std::size_t>(e)]) + extra;
+    const int use = static_cast<int>(wireUse_[static_cast<std::size_t>(e)]);
     const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
     return (1.0 + static_cast<double>(wireHist_[static_cast<std::size_t>(e)])) * pres;
   }
 
   /// Congestion cost of via edge \p v on \p cut, as wireCost.
-  double viaCost(int v, int cut, int extra) const {
+  double viaCost(int v, int cut) const {
     const int cap = grid_.viaCap(v);
     if (cap == 0) return kInf;
-    const int use = static_cast<int>(viaUse_[static_cast<std::size_t>(v)]) + extra;
+    const int use = static_cast<int>(viaUse_[static_cast<std::size_t>(v)]);
     const double pres = use >= cap ? 1.0 + presWeight_ * static_cast<double>(use + 1 - cap) : 1.0;
     return viaBase_[static_cast<std::size_t>(cut)] *
            (1.0 + static_cast<double>(viaHist_[static_cast<std::size_t>(v)])) * pres;
@@ -748,14 +567,14 @@ class Router {
     par::parallelFor(
         0, static_cast<std::int64_t>(wireCostCache_.size()), kCostGrain,
         [&](std::int64_t e) {
-          wireCostCache_[static_cast<std::size_t>(e)] = wireCost(static_cast<int>(e), 0);
+          wireCostCache_[static_cast<std::size_t>(e)] = wireCost(static_cast<int>(e));
         },
         threads_);
     par::parallelFor(
         0, static_cast<std::int64_t>(viaCostCache_.size()), kCostGrain,
         [&](std::int64_t v) {
           viaCostCache_[static_cast<std::size_t>(v)] =
-              viaCost(static_cast<int>(v), static_cast<int>(v) / perLayer, 0);
+              viaCost(static_cast<int>(v), static_cast<int>(v) / perLayer);
         },
         threads_);
   }
@@ -766,10 +585,10 @@ class Router {
     if (s.isVia) {
       const int low = std::min(grid_.nodeLayer(s.fromNode), grid_.nodeLayer(s.toNode));
       const int v = grid_.viaEdgeId(grid_.nodeX(s.fromNode), grid_.nodeY(s.fromNode), low);
-      viaCostCache_[static_cast<std::size_t>(v)] = viaCost(v, low, 0);
+      viaCostCache_[static_cast<std::size_t>(v)] = viaCost(v, low);
     } else {
       const int e = wireEdgeOf(s.fromNode, s.toNode);
-      wireCostCache_[static_cast<std::size_t>(e)] = wireCost(e, 0);
+      wireCostCache_[static_cast<std::size_t>(e)] = wireCost(e);
     }
   }
 
@@ -839,17 +658,9 @@ class Router {
   /// Multi-source A* from the current tree to \p target, restricted to the
   /// gcell window \p win (which always contains the tree and the target).
   /// Returns true and fills \p path (target..treeNode) on success. Reads
-  /// only the shared congestion state (const during a batch), the optional
-  /// region usage overlay \p delta, and \p s. \p cf is the net's
-  /// criticality factor in [0, kMaxCritFactor]: costs blend toward their
-  /// congestion-free base as cf rises (base + (1-cf) * (cost - base)),
-  /// which keeps every scaled cost >= base, so the unscaled heuristic
-  /// stays admissible. cf == 0 takes the untouched cached-cost path --
-  /// bit-identical to a non-timing-driven search (the blend expression is
-  /// not an FP identity at cf == 0).
+  /// only the batch-frozen cost caches and \p s.
   bool search(const std::vector<int>& treeNodes, int target, const Window& win,
-              std::vector<int>& path, SearchScratch& s, const RegionDelta* delta,
-              double cf) const {
+              std::vector<int>& path, SearchScratch& s) const {
     ++s.epoch;
     BucketQueue& open = s.open;
     open.reset();
@@ -867,35 +678,6 @@ class Router {
     for (int l = 0; l < grid_.numLayers(); ++l) {
       hLayer[l] = static_cast<double>(std::abs(l - tl)) * minViaBase_;
     }
-
-    // Edge-cost views for this search: the frozen cache, overridden by the
-    // region overlay where it has uncommitted usage, then blended toward
-    // the base cost for critical nets. Both extra branches are off (and
-    // cost nothing but a predictable test) on the classic batch path.
-    const double keep = 1.0 - cf;
-    auto wCost = [&](int e) {
-      double c;
-      if (delta != nullptr && delta->wire[static_cast<std::size_t>(e)] != 0) {
-        c = wireCost(e, static_cast<int>(delta->wire[static_cast<std::size_t>(e)]));
-      } else {
-        c = cachedWireCost(e);
-      }
-      if (cf > 0.0) c = 1.0 + keep * (c - 1.0);
-      return c;
-    };
-    auto vCost = [&](int v, int cut) {
-      double c;
-      if (delta != nullptr && delta->via[static_cast<std::size_t>(v)] != 0) {
-        c = viaCost(v, cut, static_cast<int>(delta->via[static_cast<std::size_t>(v)]));
-      } else {
-        c = cachedViaCost(v);
-      }
-      if (cf > 0.0) {
-        const double b = viaBase_[static_cast<std::size_t>(cut)];
-        c = b + keep * (c - b);
-      }
-      return c;
-    };
 
     // Relaxation works on explicit gcell coordinates: callers always know
     // the neighbor's (x, y, l), and deriving them from the node id would
@@ -950,30 +732,30 @@ class Router {
       // Wire moves along the preferred direction, within the window.
       if (layerHoriz_[static_cast<std::size_t>(l)] != 0) {
         if (x < win.x1 && u + 1 != par) {
-          const double c = wCost(u);
+          const double c = cachedWireCost(u);
           if (c < kInf) relax(u + 1, x + 1, y, l, g + c, u);
         }
         if (x > win.x0 && u - 1 != par) {
-          const double c = wCost(u - 1);
+          const double c = cachedWireCost(u - 1);
           if (c < kInf) relax(u - 1, x - 1, y, l, g + c, u);
         }
       } else {
         if (y < win.y1 && u + nx != par) {
-          const double c = wCost(u);
+          const double c = cachedWireCost(u);
           if (c < kInf) relax(u + nx, x, y + 1, l, g + c, u);
         }
         if (y > win.y0 && u - nx != par) {
-          const double c = wCost(u - nx);
+          const double c = cachedWireCost(u - nx);
           if (c < kInf) relax(u - nx, x, y - 1, l, g + c, u);
         }
       }
       // Vias (via edge between l and l+1 is keyed by the lower node id).
       if (l + 1 < numLayers && u + layerStride != par) {
-        const double c = vCost(u, l);
+        const double c = cachedViaCost(u);
         if (c < kInf) relax(u + layerStride, x, y, l + 1, g + c, u);
       }
       if (l > 0 && u - layerStride != par) {
-        const double c = vCost(u - layerStride, l - 1);
+        const double c = cachedViaCost(u - layerStride);
         if (c < kInf) relax(u - layerStride, x, y, l - 1, g + c, u);
       }
     }
@@ -989,10 +771,10 @@ class Router {
   /// routable). The ladder is a pure function of the tree, the sink and
   /// the options -- never of the schedule.
   bool searchWithWindows(const std::vector<int>& treeNodes, int target, int bx0, int by0,
-                         int bx1, int by1, std::vector<int>& path, SearchScratch& s,
-                         const RegionDelta* delta, double cf) const {
+                         int bx1, int by1, std::vector<int>& path,
+                         SearchScratch& s) const {
     if (opt_.searchHaloGcells < 0) {
-      return search(treeNodes, target, fullWindow(), path, s, delta, cf);
+      return search(treeNodes, target, fullWindow(), path, s);
     }
     const int tx = grid_.nodeX(target);
     const int ty = grid_.nodeY(target);
@@ -1008,18 +790,15 @@ class Router {
       win.y1 = std::min(grid_.ny() - 1, wy1 + halo);
       const bool coversGrid = win.x0 == 0 && win.y0 == 0 && win.x1 == grid_.nx() - 1 &&
                               win.y1 == grid_.ny() - 1;
-      if (search(treeNodes, target, win, path, s, delta, cf)) return true;
+      if (search(treeNodes, target, win, path, s)) return true;
       if (coversGrid) return false;
       ++s.fallbacks;
     }
   }
 
-  /// Routes one net against the current (batch-frozen) congestion state
-  /// plus the optional region usage overlay \p delta. Writes only \p out
-  /// and \p s; usage commits happen after the batch / region pass.
-  void routeNet(NetId netId, NetRoute& out, SearchScratch& s, const RegionDelta* delta) const {
-    const double cf =
-        critFactor_.empty() ? 0.0 : critFactor_[static_cast<std::size_t>(netId)];
+  /// Routes one net against the current (batch-frozen) congestion state.
+  /// Writes only \p out and \p s; usage commits happen after the batch.
+  void routeNet(NetId netId, NetRoute& out, SearchScratch& s) const {
     const Net& net = nl_.net(netId);
     // Unique pin nodes; driver first.
     std::vector<int> pinNodes;
@@ -1058,7 +837,7 @@ class Router {
     std::vector<int>& path = s.path;
     for (int t : targets) {
       if (s.tree[static_cast<std::size_t>(t)] == s.treeEpoch) continue;  // already reached
-      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s, delta, cf)) {
+      if (!searchWithWindows(treeNodes, t, bx0, by0, bx1, by1, path, s)) {
         out.routed = false;
         continue;
       }
@@ -1116,11 +895,6 @@ class Router {
       result.nodesRelaxed += p->relaxed;
       result.windowFallbacks += p->fallbacks;
     }
-    if (opt_.regionSizeGcells > 0) {
-      result.regionCount = part_.numRegions();
-      result.regionLocalNets = regionLocalNets_;
-      result.regionCrossNets = regionCrossNets_;
-    }
     if (eco_) {
       result.ecoDirtyGcells = ecoDirtyGcells_;
       for (const NetId n : order_) {
@@ -1176,10 +950,7 @@ class Router {
   std::vector<double> wireCostCache_;
   std::vector<double> viaCostCache_;
   std::vector<std::unique_ptr<SearchScratch>> scratch_;
-  std::vector<std::unique_ptr<RegionDelta>> deltas_;
-  RegionPartition part_;
   std::vector<NetId> order_;
-  std::vector<double> critFactor_;   ///< empty unless timing-driven.
   std::vector<double> viaBase_;      ///< per-cut base via cost.
   std::vector<std::uint8_t> everRipped_;  ///< per net: ripped at least once.
   int threads_ = 1;
@@ -1188,8 +959,6 @@ class Router {
   double minViaBase_ = 1.0;
   std::vector<std::uint8_t> layerHoriz_;
   bool eco_ = false;
-  std::int64_t regionLocalNets_ = 0;
-  std::int64_t regionCrossNets_ = 0;
   std::int64_t ecoDirtyGcells_ = 0;
 };
 
@@ -1202,11 +971,6 @@ void recordRouteObs(const RoutingResult& result) {
   obs::counter("route.nodes_popped").add(result.nodesPopped);
   obs::counter("route.nodes_relaxed").add(result.nodesRelaxed);
   obs::counter("route.window_fallbacks").add(result.windowFallbacks);
-  if (result.regionCount > 0) {
-    obs::gauge("route.region_count").set(static_cast<double>(result.regionCount));
-    obs::counter("route.region_local_nets").add(result.regionLocalNets);
-    obs::counter("route.region_cross_nets").add(result.regionCrossNets);
-  }
   M3D_LOG(debug) << "router summary: iters=" << result.iterationsUsed
                 << " wl_um=" << result.totalWirelengthUm << " bumps=" << result.f2fBumps
                 << " overflow_edges=" << result.overflowedEdges

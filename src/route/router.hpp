@@ -9,7 +9,6 @@
 /// rerouted for a bounded number of iterations.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "route/route_grid.hpp"
@@ -31,8 +30,6 @@ struct NetRoute {
   std::vector<RouteSeg> segs;
   bool routed = false;
 };
-
-struct RoutingResult;
 
 struct RouterOptions {
   int maxIterations = 5;         ///< rip-up & reroute rounds.
@@ -62,41 +59,6 @@ struct RouterOptions {
   /// the search and keeps negotiation local (measurably lower overflow
   /// than full-grid search on the benchmark tiles).
   int searchHaloGcells = 1;
-  /// Region-parallel negotiation: shard the gcell plane into rectangular
-  /// regions of this nominal edge length (see region_partition.hpp -- a
-  /// pure function of the grid dims and this knob, never the schedule).
-  /// Nets whose pin bounding box fits inside one region route sequentially
-  /// against that region's accumulated usage overlay while regions run
-  /// concurrently; usage commits in ascending region id, then the
-  /// boundary-crossing nets route via the classic batch path against the
-  /// committed state. <= 0 disables partitioning (batch parallelism only).
-  int regionSizeGcells = 0;
-  /// Timing-driven ordering and cost shaping. When set and netCriticality
-  /// is non-empty, nets route most-critical first and each net's wire/via
-  /// costs are blended toward their congestion-free base by its criticality
-  /// factor (VPR-style: critical nets prefer short paths, non-critical nets
-  /// absorb detours). A zero-criticality net routes bit-identically to the
-  /// non-timing-driven router.
-  bool timingDriven = false;
-  /// Criticality sharpening exponent: factor = min(crit^exponent, 0.99).
-  /// > 1 focuses the cost blend on the most critical nets; the 0.99 clamp
-  /// keeps blocked-edge costs infinite (a factor of exactly 1 would
-  /// multiply infinity by zero).
-  double criticalityExponent = 1.0;
-  /// Per-net criticality in [0, 1], indexed by NetId (typically
-  /// Sta::netCriticality). Empty disables timing-driven behavior even when
-  /// timingDriven is set.
-  std::vector<double> netCriticality;
-  /// Refresh the criticalities between negotiation iterations: every
-  /// critRefreshEvery completed rip-up rounds the router hands the current
-  /// (still fully routed) result to this callback and rebuilds its
-  /// criticality factors from the returned vector before re-sorting the
-  /// rip-up cohort. The flow installs an incremental-STA closure here
-  /// (re-extract the routed parasitics, cone-update arrivals); unset, the
-  /// pre-route criticalities stay fixed for the whole route. Only consulted
-  /// when timing-driven routing is active.
-  int critRefreshEvery = 1;
-  std::function<std::vector<double>(const RoutingResult&)> criticalityRefresh;
 };
 
 struct RoutingResult {
@@ -115,11 +77,6 @@ struct RoutingResult {
   std::int64_t nodesPopped = 0;    ///< open-list pops across all searches.
   std::int64_t nodesRelaxed = 0;   ///< accepted relaxations (dist improved).
   std::int64_t windowFallbacks = 0;  ///< window widenings after a failed windowed search.
-
-  // Region-parallel negotiation statistics (0 when partitioning is off).
-  int regionCount = 0;                 ///< regions in the partition.
-  std::int64_t regionLocalNets = 0;    ///< net routings served by a region pass.
-  std::int64_t regionCrossNets = 0;    ///< net routings that crossed regions (batch path).
 
   // Incremental (ECO) reroute statistics (0 for a full route).
   std::int64_t ecoDirtyGcells = 0;   ///< gcell columns with >= 1 capacity-changed edge.

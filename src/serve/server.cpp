@@ -38,23 +38,27 @@ bool sendAll(int fd, const std::string& data) {
   return true;
 }
 
+enum class LineStatus { kLine, kClosed, kTooLong };
+
 /// Extracts the next '\n'-terminated line from \p buf, reading more from
-/// \p fd as needed. Returns false on EOF/error with no complete line left.
-bool recvLine(int fd, std::string& buf, std::string* line) {
+/// \p fd as needed. kClosed on EOF/error with no complete line left;
+/// kTooLong once more than kMaxRequestLineBytes arrived without a newline.
+LineStatus recvLine(int fd, std::string& buf, std::string* line) {
   for (;;) {
     const std::size_t nl = buf.find('\n');
     if (nl != std::string::npos) {
       *line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
-      return true;
+      return LineStatus::kLine;
     }
+    if (buf.size() > kMaxRequestLineBytes) return LineStatus::kTooLong;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return LineStatus::kClosed;
     }
-    if (n == 0) return false;
+    if (n == 0) return LineStatus::kClosed;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -278,7 +282,16 @@ void Server::handleConnection(int fd) {
   std::string buf;
   std::string line;
   while (!stop_.load() || !buf.empty()) {
-    if (!recvLine(fd, buf, &line)) break;
+    const LineStatus status = recvLine(fd, buf, &line);
+    if (status == LineStatus::kTooLong) {
+      M3D_LOG(warn) << "serve: closing a connection whose request line exceeds "
+                    << kMaxRequestLineBytes << " bytes";
+      sendAll(fd, encodeError("request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                              " bytes") +
+                      "\n");
+      break;
+    }
+    if (status == LineStatus::kClosed) break;
     if (line.empty()) continue;
     std::string err;
     const auto req = obs::parseJson(line, &err);

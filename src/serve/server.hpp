@@ -24,6 +24,7 @@
 /// finally writes the aggregate run report and the Chrome trace.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,6 +40,12 @@
 #include "serve/job_runner.hpp"
 
 namespace m3d::serve {
+
+/// Longest request line a connection may send, in bytes (the newline
+/// excluded). The largest real request -- a submit carrying every spec
+/// field -- is a few hundred bytes; past the cap the server replies with
+/// an error and closes that connection instead of buffering without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   std::string socketPath;        ///< Unix-domain socket path (required).

@@ -587,5 +587,69 @@ TEST(FlowDbCache, StandaloneCheckpointLoadReconstructsTheRun) {
   fs::remove_all(dir);
 }
 
+/// Path of the one cache entry of pipeline stage \p stage in \p dir ("" when
+/// absent or ambiguous).
+std::string stageEntryPath(const std::string& dir, int stage) {
+  const std::string prefix = "stage" + std::to_string(stage) + "_";
+  std::string found;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() != ".m3ddb") continue;
+    if (e.path().filename().string().rfind(prefix, 0) != 0) continue;
+    if (!found.empty()) return "";
+    found = e.path().string();
+  }
+  return found;
+}
+
+TEST(FlowDbCache, EcoSeedIsTouchedAndOutlivesUntouchedEntries) {
+  // Base run: seven entries, published (so LRU-ordered) place..signoff.
+  const std::string dir = tempPath("m3d_flowdb_eco_lru");
+  const std::string probeDir = tempPath("m3d_flowdb_eco_lru_probe");
+  fs::remove_all(dir);
+  fs::remove_all(probeDir);
+  FlowOptions opt = dbTinyOptions();
+  opt.checkpointDir = dir;
+  const FlowOutput base = runFlowMacro3D(dbTinyConfig(), opt);
+  ASSERT_EQ(checkpointFileCount(dir), 7);
+  std::vector<std::string> entry(7);
+  std::vector<std::int64_t> entryBytes(7);
+  for (int i = 0; i < 7; ++i) {
+    entry[static_cast<std::size_t>(i)] = stageEntryPath(dir, i);
+    ASSERT_FALSE(entry[static_cast<std::size_t>(i)].empty()) << "stage " << i;
+    entryBytes[static_cast<std::size_t>(i)] =
+        static_cast<std::int64_t>(fs::file_size(entry[static_cast<std::size_t>(i)]));
+  }
+  ASSERT_EQ(base.routeCheckpointPath, entry[3]);
+  const std::int64_t baseBytes = db::StageCache(dir, true).indexedBytes();
+
+  // Bump-pitch ECO seeded from the base route checkpoint: place..cts
+  // restore (touching only the deepest hit, cts), route..signoff publish
+  // four new entries. An unbounded probe copy measures their bytes.
+  FlowOptions eco = opt;
+  eco.f2fVia.pitch *= 2;
+  eco.ecoRouteFrom = base.routeCheckpointPath;
+  fs::copy(dir, probeDir, fs::copy_options::recursive);
+  FlowOptions probe = eco;
+  probe.checkpointDir = probeDir;
+  (void)runFlowMacro3D(dbTinyConfig(), probe);
+  const std::int64_t ecoBytes = db::StageCache(probeDir, true).indexedBytes() - baseBytes;
+  ASSERT_GT(ecoBytes, 0);
+  fs::remove_all(probeDir);
+
+  // Budget: evict the untouched place and pre_route_opt entries plus one
+  // more byte. The next LRU victim is the seed when the route stage does
+  // not touch it, and the untouched extract entry when it does.
+  eco.cacheMaxBytes = baseBytes + ecoBytes - entryBytes[0] - entryBytes[1] - 1;
+  const FlowOutput inc = runFlowMacro3D(dbTinyConfig(), eco);
+  EXPECT_GT(inc.routes.ecoNetsReused, 0);  // the ECO really routed off the seed
+  EXPECT_FALSE(fs::exists(entry[0]));
+  EXPECT_FALSE(fs::exists(entry[1]));
+  EXPECT_TRUE(fs::exists(entry[2]));  // touched by the restore
+  EXPECT_TRUE(fs::exists(entry[3])) << "the reused ECO seed was evicted";
+  EXPECT_FALSE(fs::exists(entry[4])) << "the untouched extract entry survived";
+  EXPECT_LE(db::StageCache(dir, true).indexedBytes(), eco.cacheMaxBytes);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace m3d

@@ -218,11 +218,8 @@ void expectRoutesEqual(const RoutingResult& a, const RoutingResult& b, int threa
   EXPECT_EQ(a.nodesPopped, b.nodesPopped);
   EXPECT_EQ(a.nodesRelaxed, b.nodesRelaxed);
   EXPECT_EQ(a.windowFallbacks, b.windowFallbacks);
-  // Region-parallel and ECO statistics are derived from the same
-  // deterministic decomposition, so they are part of the contract too.
-  EXPECT_EQ(a.regionCount, b.regionCount);
-  EXPECT_EQ(a.regionLocalNets, b.regionLocalNets);
-  EXPECT_EQ(a.regionCrossNets, b.regionCrossNets);
+  // ECO statistics are derived from the same deterministic decomposition,
+  // so they are part of the contract too.
   EXPECT_EQ(a.ecoDirtyGcells, b.ecoDirtyGcells);
   EXPECT_EQ(a.ecoNetsReused, b.ecoNetsReused);
   EXPECT_EQ(a.ecoNetsRipped, b.ecoNetsRipped);
@@ -239,47 +236,20 @@ TEST(RouterDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 // Every search-kernel configuration -- the windowed default, the full-grid
-// search, a degenerate halo exercising the fallback ladder, the
-// region-partitioned scheduler, and timing-driven ordering/costing -- must
-// be bit-identical at any thread count.
+// search, and a degenerate halo exercising the fallback ladder -- must be
+// bit-identical at any thread count.
 TEST(RouterDeterminism, KernelConfigsBitIdenticalAcrossThreadCounts) {
-  struct Kernel {
-    int halo;
-    int regionSize;
-    bool timingDriven;
-  };
-  const Kernel kernels[] = {
-      {1, 0, false},   // shipped default
-      {-1, 0, false},  // full-grid search
-      {0, 0, false},   // degenerate halo exercising the ladder
-      {1, 8, false},   // region-partitioned negotiation
-      {1, 0, true},    // timing-driven order + cost blend
-      {1, 8, true},    // partitioned + timing-driven combined
-  };
   RouterProblem problem;
-  // Synthetic but deterministic per-net criticality (a function of the net
-  // id alone) -- the determinism contract must hold for any criticality
-  // vector, so the test does not need a real STA here.
-  std::vector<double> crit(static_cast<std::size_t>(problem.nl_.numNets()));
-  for (std::size_t n = 0; n < crit.size(); ++n) {
-    crit[n] = static_cast<double>((n * 37) % 100) / 100.0;
-  }
-  for (const Kernel& k : kernels) {
+  for (const int halo : {1, -1, 0}) {  // shipped default, full grid, halo 0
     auto routeWith = [&](int threads) {
       RouteGrid grid(problem.nl_, problem.die_, problem.tech_.beol);
       RouterOptions ropt;
       ropt.numThreads = threads;
-      ropt.searchHaloGcells = k.halo;
-      ropt.regionSizeGcells = k.regionSize;
-      ropt.timingDriven = k.timingDriven;
-      if (k.timingDriven) ropt.netCriticality = crit;
+      ropt.searchHaloGcells = halo;
       return routeDesign(problem.nl_, grid, ropt);
     };
     const RoutingResult ref = routeWith(1);
     EXPECT_EQ(ref.unroutedNets, 0);
-    if (k.regionSize > 0) {
-      EXPECT_GT(ref.regionCount, 1);
-    }
     for (const int threads : {2, 8}) {
       const RoutingResult r = routeWith(threads);
       expectRoutesEqual(ref, r, threads);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -21,6 +22,10 @@
 #include "serve/job_runner.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 /// Flow-service tests.
 ///  - Serve* suites (ctest label "serve"): protocol round trips, queue
@@ -767,6 +772,58 @@ TEST(ServeFlowServer, GracefulShutdownDrainsRunningAndCancelsQueued) {
   // The aggregate report was still written on this shutdown path.
   EXPECT_TRUE(io::fileExists(ts.server.options().reportPath));
   fs::remove_all(tempPath("m3d_serve_drain"));
+}
+
+// The line cap needs no flows, so it lives outside the slow ServeFlow*
+// suites (label "serve" only).
+TEST(ServeServer, OverlongRequestLineIsRejectedAndOthersStillServed) {
+  TestServer ts(serverOptions("m3d_serve_overlong", /*executors=*/1));
+  ASSERT_TRUE(ts.start());
+  const std::string socket = ts.server.options().socketPath;
+
+  // A raw client streams one byte past the cap with no newline.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(socket.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, socket.c_str(), socket.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const std::string junk(kMaxRequestLineBytes + 1, 'x');
+  std::size_t off = 0;
+  while (off < junk.size()) {
+    const ssize_t n = ::send(fd, junk.data() + off, junk.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(off, junk.size());
+
+  // The server answers with one error line, then closes the connection.
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) break;
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  std::string err;
+  const auto doc = obs::parseJson(reply.substr(0, reply.size() - 1), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const obs::JsonValue* ok = doc->find("ok");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_FALSE(ok->boolean);
+  EXPECT_NE(reply.find("exceeds"), std::string::npos) << reply;
+
+  // A second client is still served.
+  Client c;
+  ASSERT_TRUE(c.connect(socket, &err)) << err;
+  EXPECT_TRUE(c.ping(&err)) << err;
+  c.close();
+  ts.shutdownAndJoin();
+  fs::remove_all(tempPath("m3d_serve_overlong"));
 }
 
 }  // namespace
