@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Quick development loop: configure + build + fast test subset + the
-# run-diff regression-gate self-consistency smoke.
+# run-diff regression-gate self-consistency smoke + the checked-in baseline
+# gates (bench/baselines/BENCH_{route,serve,sta}_smoke.json).
 #
 # Runs everything EXCEPT the slow end-to-end flow suites (`ctest -LE slow`),
 # which covers all unit/property tests including the design-database suites
@@ -8,7 +9,10 @@
 # the flow-service protocol/queue suites (`ctest -L serve`), and the perf
 # smokes (`ctest -L perf`: bench_route --smoke asserts the windowed search
 # pops fewer nodes than full-grid at equal-or-better QoR; bench_serve
-# --smoke asserts the serving cache-reuse contract).
+# --smoke asserts the serving cache-reuse contract; bench_sta --smoke
+# asserts the incremental timing engine matches from-scratch rebuilds).
+# The placer's QoR on the tiny tile (placed HPWL, post-route overflow) is
+# pinned by the flows in the serve baseline.
 # Use `ctest --test-dir build` with no label filter for the full tier-1 run.
 #
 # Usage: scripts/quickcheck.sh [build-dir]   (default: build)
@@ -92,16 +96,6 @@ echo "quickcheck: serve daemon smoke OK (cold+warm bit-identical, report flushed
   "$SERVE_DIR/BENCH_serve_smoke.json" --wall-threshold 10000 \
   --metric scalars.jobs_per_s=100000
 echo "quickcheck: serve smoke matches checked-in baseline"
-
-# Placement-engine ablation gate: bench_hpwl_ablation --smoke runs the tiny
-# tile through the full flow with both engines and asserts the analytic
-# placer wins HPWL and post-route overflow within the wall budget. Both
-# engines are deterministic, so every QoR scalar must match the checked-in
-# baseline exactly; only wall clock is host-dependent.
-(cd "$SMOKE_DIR" && "$BUILD_ABS/bench/bench_hpwl_ablation" --smoke > /dev/null)
-"$BUILD_ABS/src/report/m3d_report" diff bench/baselines/BENCH_hpwl_ablation_smoke.json \
-  "$SMOKE_DIR/BENCH_hpwl_ablation_smoke.json" --wall-threshold 10000
-echo "quickcheck: hpwl-ablation smoke matches checked-in baseline"
 
 # Incremental-STA gate: bench_sta --smoke A/Bs the persistent engine
 # against from-scratch rebuilds (per-edit WNS, exact-vs-bisect min-period)

@@ -61,7 +61,6 @@ void encodeMetrics(BinWriter& w, const DesignMetrics& m) {
   w.i64(m.f2fBumpCount);
   w.f64(m.legalizeAvgDispUm);
   w.f64(m.placeHpwlMm);
-  w.str(m.placeEngine);
   w.f64(m.placeOverflow);
   w.i32(m.placeIterations);
   w.i32(m.cellsResized);
@@ -95,7 +94,6 @@ bool decodeMetrics(BinReader& r, DesignMetrics& m) {
   m.f2fBumpCount = r.i64();
   m.legalizeAvgDispUm = r.f64();
   m.placeHpwlMm = r.f64();
-  m.placeEngine = r.str();
   m.placeOverflow = r.f64();
   m.placeIterations = r.i32();
   m.cellsResized = r.i32();
@@ -290,22 +288,9 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.b(flags.skipGlobalPlace);
     h.b(flags.insertRepeaters);
     h.i64(opt.partialBlockageResolution);
-    h.str(placeEngineName(opt.placer.engine));
-    h.i32(opt.placer.analytic.maxIters);
-    h.i32(opt.placer.analytic.minIters);
-    h.f64(opt.placer.analytic.targetOverflow);
-    h.f64(opt.placer.analytic.targetDensity);
-    h.f64(opt.placer.analytic.splitNetWeight);
     h.i32(opt.placer.maxIters);
-    h.i32(opt.placer.pureSolveRounds);
-    h.f64(opt.placer.anchorWeightInit);
-    h.f64(opt.placer.anchorWeightGrowth);
-    h.f64(opt.placer.clockNetWeight);
-    h.i32(opt.placer.minIters);
-    h.u64(opt.placer.seed);
     h.b(opt.placer.useExistingPositions);
     h.i64(opt.placer.legalizer.partialBlockageResolution);
-    h.i32(opt.placer.legalizer.rowSearchWindow);
     h.f64(opt.placer.legalizer.cellWidthScale);
     keys[0] = h.digest();
   }

@@ -55,24 +55,6 @@ bool envLong(const char* name, long minVal, long* out) {
   return true;
 }
 
-/// M3D_PLACE_ENGINE override for the global-place engine, with the same
-/// malformed-env hardening convention: an unknown engine name warns and
-/// keeps the built-in default (b2b). Only applies while the option still
-/// equals its default -- an explicit FlowOptions setting always wins.
-void applyPlacerEnvOverrides(PlacerOptions& popt) {
-  const PlacerOptions defaults;
-  if (popt.engine != defaults.engine) return;
-  const char* v = std::getenv("M3D_PLACE_ENGINE");
-  if (v == nullptr || *v == '\0') return;
-  PlaceEngine parsed = PlaceEngine::kB2B;
-  if (!parsePlaceEngine(v, parsed)) {
-    M3D_LOG(warn) << "ignoring invalid M3D_PLACE_ENGINE='" << v
-                  << "' (expected 'b2b' or 'analytic'); keeping the default";
-    return;
-  }
-  popt.engine = parsed;
-}
-
 /// Guard for post-route in-place sizing: no re-legalization happens after
 /// routing, so a wider master is acceptable only while the cell still fits
 /// between its frozen row neighbors, inside the die, and clear of hard
@@ -226,7 +208,6 @@ void writeDesignMetricsJson(obs::JsonWriter& w, const DesignMetrics& m) {
   w.kv("verify_f2f_bumps", m.f2fBumpCount);
   w.kv("legalize_avg_disp_um", m.legalizeAvgDispUm);
   w.kv("place_hpwl_mm", m.placeHpwlMm);
-  w.kv("place_engine", std::string_view(m.placeEngine));
   w.kv("place_overflow", m.placeOverflow);
   w.kv("place_iterations", m.placeIterations);
   w.kv("cells_resized", m.cellsResized);
@@ -407,9 +388,8 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   if (opt.placer.numThreads == 0) opt.placer.numThreads = opt.numThreads;
   if (opt.router.numThreads == 0) opt.router.numThreads = opt.numThreads;
   if (opt.optBase.numThreads == 0) opt.optBase.numThreads = opt.numThreads;
-  // Placer env overrides and the ECO seed default must be resolved before
-  // the stage keys are computed: the keys hash the effective knobs.
-  applyPlacerEnvOverrides(opt.placer);
+  // The ECO seed default must be resolved before the stage keys are
+  // computed: the keys hash the effective knobs.
   if (opt.ecoRouteFrom.empty()) {
     if (const char* env = std::getenv("M3D_ECO_ROUTE_FROM")) opt.ecoRouteFrom = env;
   }
@@ -527,18 +507,15 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
       const PlaceResult pr = globalPlace(nl, out.fp, popt);
       out.metrics.placeHpwlMm = displayMm(pr.hpwlUm);
       out.metrics.legalizeAvgDispUm = displayUm(pr.legal.avgDisplacementUm);
-      out.metrics.placeEngine = placeEngineName(pr.engine);
       out.metrics.placeOverflow = pr.overflow;
       out.metrics.placeIterations = pr.iterations;
       phase.attr("hpwl_mm", out.metrics.placeHpwlMm);
       phase.attr("iterations", pr.iterations);
       phase.attr("overflow", pr.overflow);
-      trace << "place: engine=" << out.metrics.placeEngine
-            << " hpwl_mm=" << out.metrics.placeHpwlMm
+      trace << "place: hpwl_mm=" << out.metrics.placeHpwlMm
             << " overflow=" << pr.overflow
             << " legal_fail=" << pr.legal.failedCells << "\n";
-      M3D_LOG(info) << "place done: engine=" << out.metrics.placeEngine
-                    << " hpwl_mm=" << out.metrics.placeHpwlMm
+      M3D_LOG(info) << "place done: hpwl_mm=" << out.metrics.placeHpwlMm
                     << " overflow=" << pr.overflow
                     << " iters=" << pr.iterations << " legal_fail=" << pr.legal.failedCells;
     } else {

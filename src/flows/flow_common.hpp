@@ -182,12 +182,9 @@ struct DesignMetrics {
   double legalizeAvgDispUm = 0.0;  ///< displacement of the overlap-fix step
                                    ///< (pseudo flows) or final legalization.
   double placeHpwlMm = 0.0;
-  /// Global-place engine that produced the placement ("b2b" / "analytic";
-  /// "" when the flow skipped global placement).
-  std::string placeEngine;
-  /// Engine-neutral density overflow of the final placement (PlaceResult).
+  /// Density overflow of the final placement (PlaceResult::overflow).
   double placeOverflow = 0.0;
-  /// Global-place iterations of the engine that ran.
+  /// Global-place iterations (PlaceResult::iterations).
   int placeIterations = 0;
   int cellsResized = 0;
   int buffersInserted = 0;

@@ -140,8 +140,8 @@ LegalizeResult legalize(Netlist& nl, const Floorplan& fp, const LegalizerOptions
     int bestRow = -1;
     Dbu bestX = 0;
     double bestCost = 0.0;
-    const int window = std::max(opt.rowSearchWindow, numRows);
-    for (int dr = 0; dr <= window; ++dr) {
+    // Every row, nearest first; the cost bound below ends the scan early.
+    for (int dr = 0; dr < numRows; ++dr) {
       for (int sign = 0; sign < (dr == 0 ? 1 : 2); ++sign) {
         const int r = desiredRow + (sign == 0 ? dr : -dr);
         if (r < 0 || r >= numRows) continue;

@@ -9,33 +9,26 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "place/analytic/analytic_placer.hpp"
-#include "place/analytic/density.hpp"
 #include "place/cg_solver.hpp"
 
 namespace m3d {
-
-const char* placeEngineName(PlaceEngine e) {
-  return e == PlaceEngine::kAnalytic ? "analytic" : "b2b";
-}
-
-bool parsePlaceEngine(const std::string& name, PlaceEngine& out) {
-  if (name == "b2b") {
-    out = PlaceEngine::kB2B;
-    return true;
-  }
-  if (name == "analytic") {
-    out = PlaceEngine::kAnalytic;
-    return true;
-  }
-  return false;
-}
 
 namespace {
 
 /// Nets per spring-build chunk (pure function of NetId range; thread-count
 /// independent, see parallel.hpp determinism contract).
 constexpr std::int64_t kNetGrain = 256;
+
+// Fixed B2B schedule.
+constexpr int kPureSolveRounds = 5;        ///< initial reweighting rounds without anchors.
+constexpr double kAnchorWeightInit = 0.01; ///< first anchor weight (grows geometrically).
+constexpr double kAnchorWeightGrowth = 1.8;
+constexpr double kClockNetWeight = 0.1;    ///< down-weight of clock nets in the objective.
+constexpr int kMinIters = 9;               ///< don't trigger convergence before this.
+constexpr std::uint64_t kJitterSeed = 1;   ///< seed of the initial spread.
+
+/// Bin capacity derate of the overflow measure.
+constexpr double kOverflowDensity = 0.8;
 
 /// One deferred solver update emitted by the parallel spring build.
 /// b >= 0: addEdge(a, b, w); b < 0: addFixed(a, w, c).
@@ -187,14 +180,81 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
   }
 }
 
+/// PlaceResult::overflow of the current positions of \p movable. The bins
+/// form a square power-of-two grid with about one cell per bin; a bin's
+/// capacity is its blockage-free area derated to kOverflowDensity. A cell
+/// smaller than a bin is smoothed to a one-bin footprint of equal area, so
+/// the measure does not depend on where inside a bin a small cell sits. One
+/// sequential pass: independent of the thread count.
+double densityOverflow(const Netlist& nl, const Floorplan& fp,
+                       const std::vector<InstId>& movable) {
+  const int want = static_cast<int>(
+      std::ceil(std::sqrt(static_cast<double>(std::max<std::size_t>(movable.size(), 1)))));
+  int dim = 1;
+  while (dim < want) dim <<= 1;
+  dim = std::clamp(dim, 8, 256);
+  const double dieXlo = dbuToUm(fp.die.xlo);
+  const double dieYlo = dbuToUm(fp.die.ylo);
+  const double hx = dbuToUm(fp.die.width()) / dim;
+  const double hy = dbuToUm(fp.die.height()) / dim;
+  const double binArea = hx * hy;
+
+  const std::size_t numBins = static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim);
+  std::vector<double> cap(numBins);
+  for (int by = 0; by < dim; ++by) {
+    for (int bx = 0; bx < dim; ++bx) {
+      const double xlo = dieXlo + bx * hx;
+      const double ylo = dieYlo + by * hy;
+      const double xhi = xlo + hx;
+      const double yhi = ylo + hy;
+      double blocked = 0.0;
+      for (const Blockage& b : fp.blockages) {
+        const double ox = std::min(xhi, dbuToUm(b.rect.xhi)) - std::max(xlo, dbuToUm(b.rect.xlo));
+        const double oy = std::min(yhi, dbuToUm(b.rect.yhi)) - std::max(ylo, dbuToUm(b.rect.ylo));
+        if (ox > 0.0 && oy > 0.0) blocked += b.density * ox * oy;
+      }
+      cap[static_cast<std::size_t>(by) * dim + bx] =
+          std::max(0.0, binArea - blocked) * kOverflowDensity;
+    }
+  }
+
+  std::vector<double> demand(numBins, 0.0);
+  double totalArea = 0.0;
+  for (const InstId i : movable) {
+    const CellType& ct = nl.cellOf(i);
+    const double w = dbuToUm(ct.substrateWidth);
+    const double h = dbuToUm(ct.substrateHeight);
+    const double area = w * h;
+    totalArea += area;
+    const double effW = std::max(w, hx);
+    const double effH = std::max(h, hy);
+    const double scale = area / (effW * effH);
+    const Point pos = nl.instance(i).pos;
+    const double xlo = dbuToUm(pos.x) + 0.5 * w - 0.5 * effW - dieXlo;
+    const double ylo = dbuToUm(pos.y) + 0.5 * h - 0.5 * effH - dieYlo;
+    const int bx0 = std::clamp(static_cast<int>(std::floor(xlo / hx)), 0, dim - 1);
+    const int by0 = std::clamp(static_cast<int>(std::floor(ylo / hy)), 0, dim - 1);
+    const int bx1 = std::clamp(static_cast<int>(std::floor((xlo + effW) / hx)), 0, dim - 1);
+    const int by1 = std::clamp(static_cast<int>(std::floor((ylo + effH) / hy)), 0, dim - 1);
+    for (int by = by0; by <= by1; ++by) {
+      const double oy = std::min(ylo + effH, (by + 1) * hy) - std::max(ylo, by * hy);
+      if (oy <= 0.0) continue;
+      for (int bx = bx0; bx <= bx1; ++bx) {
+        const double ox = std::min(xlo + effW, (bx + 1) * hx) - std::max(xlo, bx * hx);
+        if (ox <= 0.0) continue;
+        demand[static_cast<std::size_t>(by) * dim + bx] += ox * oy * scale;
+      }
+    }
+  }
+  double over = 0.0;
+  for (std::size_t b = 0; b < numBins; ++b) over += std::max(0.0, demand[b] - cap[b]);
+  return totalArea > 0.0 ? over / totalArea : 0.0;
+}
+
 }  // namespace
 
 PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& opt) {
-  if (opt.engine == PlaceEngine::kAnalytic) {
-    return place::analyticGlobalPlace(nl, fp, opt);
-  }
   PlaceResult result;
-  result.engine = PlaceEngine::kB2B;
 
   // Movable instance indexing.
   std::vector<InstId> movable;
@@ -226,7 +286,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
       y[static_cast<std::size_t>(v)] = dbuToUm(inst.pos.y);
       continue;
     }
-    const std::uint64_t h1 = mix64(opt.seed * 2654435761ULL + static_cast<std::uint64_t>(v));
+    const std::uint64_t h1 = mix64(kJitterSeed * 2654435761ULL + static_cast<std::uint64_t>(v));
     const std::uint64_t h2 = mix64(h1);
     x[static_cast<std::size_t>(v)] =
         cxDie + (static_cast<double>(h1 % 10000) / 10000.0 - 0.5) * wDie * 0.5;
@@ -242,7 +302,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<double> ax(x);
   std::vector<double> ay(y);
   bool haveAnchors = false;
-  double anchorW = opt.anchorWeightInit;
+  double anchorW = kAnchorWeightInit;
 
   constexpr double kMinLen = 0.5;  // um, avoids singular weights
 
@@ -261,7 +321,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
                        std::vector<SpringOp>& ops) {
       const Net& net = nl.net(netId);
       if (net.pins.size() < 2) return;
-      const double netW = (net.isClock ? opt.clockNetWeight : 1.0);
+      const double netW = (net.isClock ? kClockNetWeight : 1.0);
       pins.clear();
       for (const NetPin& p : net.pins) {
         int var = -1;
@@ -342,7 +402,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<Point> bestPos;
   bool bestLegal = false;
   LegalizeResult bestLegalResult;
-  for (int r = 0; r < opt.pureSolveRounds; ++r) {
+  for (int r = 0; r < kPureSolveRounds; ++r) {
     buildAndSolve(true);
     buildAndSolve(false);
   }
@@ -387,7 +447,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
       ay[static_cast<std::size_t>(v)] = dbuToUm(inst.pos.y);
     }
     haveAnchors = true;
-    anchorW *= opt.anchorWeightGrowth;
+    anchorW *= kAnchorWeightGrowth;
 
     const double hpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
     it.attr("hpwl_um", hpwlUm);
@@ -405,7 +465,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
         bestPos[static_cast<std::size_t>(v)] = nl.instance(movable[static_cast<std::size_t>(v)]).pos;
       }
     }
-    if (iter + 1 >= opt.minIters && prevHpwlUm > 0.0 &&
+    if (iter + 1 >= kMinIters && prevHpwlUm > 0.0 &&
         std::abs(prevHpwlUm - hpwlUm) < 0.005 * prevHpwlUm && result.legal.success) {
       break;
     }
@@ -419,9 +479,7 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
     result.legal = bestLegalResult;
   }
   result.hpwlUm = dbuToUm(static_cast<Dbu>(nl.totalHpwl(opt.numThreads)));
-  // Engine-neutral density overflow so BENCH_hpwl_ablation compares B2B and
-  // analytic results on the same scale.
-  result.overflow = place::densityOverflow(nl, fp, opt.analytic.targetDensity, opt.numThreads);
+  result.overflow = densityOverflow(nl, fp, movable);
   result.success = result.legal.success;
   return result;
 }

@@ -14,42 +14,8 @@
 
 namespace m3d {
 
-/// Global-placement engine selector. kB2B is the original quadratic
-/// bound-to-bound + diffusion engine; kAnalytic is the ePlace-style
-/// analytic engine (src/place/analytic/): WA wirelength + electrostatic
-/// density + Nesterov.
-enum class PlaceEngine : std::uint8_t { kB2B = 0, kAnalytic = 1 };
-
-/// Canonical engine names used by CLI flags, env knobs, the serve protocol
-/// and the stage-cache key ("b2b" / "analytic").
-const char* placeEngineName(PlaceEngine e);
-/// Parses an engine name; returns false (leaving \p out untouched) on an
-/// unknown name.
-bool parsePlaceEngine(const std::string& name, PlaceEngine& out);
-
-/// Knobs of the analytic engine. The schedules (gamma from bin size and
-/// overflow, penalty growth from overflow) are fixed-shape; these expose the
-/// levers that matter for QoR and determinism-sensitive caching.
-struct AnalyticPlacerOptions {
-  int maxIters = 420;           ///< Nesterov iteration cap.
-  int minIters = 30;            ///< don't stop on overflow before this.
-  double targetOverflow = 0.07; ///< stop when density overflow drops below.
-  double targetDensity = 0.8;  ///< bin capacity derate (utilization target).
-  /// Extra weight on F2F die-split nets (pins on fixed macro-die instances)
-  /// in the WA objective — the bistratal term of the wirelength model.
-  double splitNetWeight = 1.0;
-};
-
 struct PlacerOptions {
-  PlaceEngine engine = PlaceEngine::kB2B;
-  AnalyticPlacerOptions analytic;
   int maxIters = 12;              ///< solve/legalize alternations.
-  int pureSolveRounds = 5;        ///< initial B2B reweighting rounds without anchors.
-  double anchorWeightInit = 0.01; ///< first anchor weight (grows geometrically).
-  double anchorWeightGrowth = 1.8;
-  double clockNetWeight = 0.1;    ///< down-weight of clock nets in the objective.
-  int minIters = 9;               ///< don't trigger convergence before this.
-  std::uint64_t seed = 1;         ///< jitter seed for the initial spread.
   /// When true, current instance positions seed the solver (hierarchical /
   /// region hints from the caller) instead of random jitter.
   bool useExistingPositions = false;
@@ -67,11 +33,10 @@ struct PlaceResult {
   double hpwlUm = 0.0;          ///< total HPWL after legalization [um].
   double quadraticHpwlUm = 0.0; ///< HPWL of the last pre-legalization solution.
   int iterations = 0;
-  /// Engine that produced the result (serialized into the metrics codec).
-  PlaceEngine engine = PlaceEngine::kB2B;
-  /// Normalized density overflow of the final placement, measured with the
-  /// engine-neutral smoothed-footprint model so B2B and analytic results
-  /// compare apples-to-apples.
+  /// Normalized density overflow of the final placement, in [0, 1]: movable
+  /// area above each bin's capacity (free area at density 0.8), summed over
+  /// a power-of-two bin grid and divided by the total movable area. Cells
+  /// smaller than a bin are smoothed to one bin footprint of equal area.
   double overflow = 0.0;
   LegalizeResult legal;         ///< stats of the final legalization pass.
 };

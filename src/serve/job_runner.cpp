@@ -1,6 +1,5 @@
 #include "serve/job_runner.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -11,7 +10,6 @@
 #include "flows/flows.hpp"
 #include "io/fsutil.hpp"
 #include "obs/log.hpp"
-#include "place/placer.hpp"
 
 namespace m3d::serve {
 
@@ -83,10 +81,6 @@ FlowOptions flowOptionsFor(const JobSpec& spec, const RunnerOptions& ropt,
   opt.signoff = spec.signoff;
   opt.resume = spec.resume;
   opt.macroDieMetals = spec.macroDieMetals;
-  // validate() already rejected anything unparsable; a stale string here
-  // would silently run the default engine, so assert the parse.
-  [[maybe_unused]] const bool engineOk = parsePlaceEngine(spec.placeEngine, opt.placer.engine);
-  assert(engineOk);
   opt.numThreads = spec.threads > 0 ? spec.threads : ropt.defaultThreads;
   opt.checkpointDir = ropt.cacheDir;
   opt.cacheMaxBytes = ropt.cacheMaxBytes;

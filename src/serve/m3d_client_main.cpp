@@ -36,7 +36,6 @@ int usage() {
          "  --shrink N   --threads N   --priority N\n"
          "  --rounds N (max freq rounds)   --passes N (opt passes)\n"
          "  --pitch-scale X (ECO bump-pitch scale)\n"
-         "  --place-engine E (b2b | analytic)\n"
          "  --no-signoff   --cold (ignore the warm cache)   --label S\n";
   return 2;
 }
@@ -87,8 +86,6 @@ bool parseJobFlags(int argc, char** argv, int* i, m3d::serve::JobSpec* spec) {
       char* end = nullptr;
       spec->f2fPitchScale = std::strtod(s.c_str(), &end);
       if (end == s.c_str() || *end != '\0') return false;
-    } else if (arg == "--place-engine") {
-      if (!strArg(spec->placeEngine)) return false;
     } else if (arg == "--no-signoff") {
       spec->signoff = false;
     } else if (arg == "--cold") {

@@ -1,6 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
+#include <string_view>
 #include <sstream>
 
 #include "db/hash.hpp"
@@ -9,9 +12,8 @@ namespace m3d::serve {
 
 namespace {
 
-/// Lenient typed field readers: absent keys keep the caller's default,
-/// wrong-typed keys fail with a diagnostic naming the key. Unknown keys are
-/// ignored so older clients can talk to newer daemons.
+/// Typed field readers: absent keys keep the caller's default, wrong-typed
+/// keys fail with a diagnostic naming the key.
 bool readInt(const obs::JsonValue& v, const char* key, int* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
   if (f == nullptr) return true;
@@ -67,6 +69,13 @@ bool readString(const obs::JsonValue& v, const char* key, std::string* dst, std:
   return true;
 }
 
+/// The keys JobSpec::writeJson emits. JobSpec::fromJson rejects any other
+/// key, so a field the daemon does not know (say, from a newer or older
+/// client) fails the submit instead of being silently dropped.
+constexpr std::string_view kSpecKeys[] = {
+    "kind", "flow", "tile", "shrink", "threads", "priority", "max_freq_rounds",
+    "opt_max_passes", "signoff", "resume", "macro_die_metals", "f2f_pitch_scale", "label"};
+
 bool validFlowName(const std::string& f) {
   return f == "macro3d" || f == "2d" || f == "s2d" || f == "bf_s2d" || f == "c2d";
 }
@@ -113,7 +122,6 @@ std::uint64_t JobSpec::baseKey() const {
   hs.i32(optMaxPasses);
   hs.b(signoff);
   hs.i32(macroDieMetals);
-  hs.str(placeEngine);
   return hs.digest();
 }
 
@@ -127,9 +135,6 @@ std::string JobSpec::validate() const {
   if (macroDieMetals != 4 && macroDieMetals != 6) return "macro_die_metals must be 4 or 6";
   if (!(f2fPitchScale > 0.0) || f2fPitchScale > 100.0) {
     return "f2f_pitch_scale must be in (0, 100]";
-  }
-  if (placeEngine != "b2b" && placeEngine != "analytic") {
-    return "unknown place_engine '" + placeEngine + "' (expected 'b2b' or 'analytic')";
   }
   if (kind == JobKind::kEco && flow == "2d") {
     return "eco jobs need an F2F interface; flow '2d' has none";
@@ -151,7 +156,6 @@ void JobSpec::writeJson(obs::JsonWriter& w) const {
   w.kv("resume", resume);
   w.kv("macro_die_metals", macroDieMetals);
   w.kv("f2f_pitch_scale", f2fPitchScale);
-  w.kv("place_engine", std::string_view(placeEngine));
   w.kv("label", std::string_view(label));
   w.endObject();
 }
@@ -160,6 +164,13 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
   if (!v.isObject()) {
     if (err != nullptr) *err = "job spec must be an object";
     return false;
+  }
+  for (const auto& member : v.obj) {
+    const std::string& key = member.first;
+    if (std::find(std::begin(kSpecKeys), std::end(kSpecKeys), key) == std::end(kSpecKeys)) {
+      if (err != nullptr) *err = "unknown job spec key '" + key + "'";
+      return false;
+    }
   }
   JobSpec spec;
   std::string kind = "flow";
@@ -183,7 +194,6 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
   if (!readBool(v, "resume", &spec.resume, err)) return false;
   if (!readInt(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
   if (!readDouble(v, "f2f_pitch_scale", &spec.f2fPitchScale, err)) return false;
-  if (!readString(v, "place_engine", &spec.placeEngine, err)) return false;
   if (!readString(v, "label", &spec.label, err)) return false;
   const std::string invalid = spec.validate();
   if (!invalid.empty()) {
@@ -242,7 +252,6 @@ bool JobResult::fromJson(const obs::JsonValue& v, JobResult* out, std::string* e
     if (!readI64(*m, "verify_f2f_bumps", &d.f2fBumpCount, err)) return false;
     if (!readDouble(*m, "legalize_avg_disp_um", &d.legalizeAvgDispUm, err)) return false;
     if (!readDouble(*m, "place_hpwl_mm", &d.placeHpwlMm, err)) return false;
-    if (!readString(*m, "place_engine", &d.placeEngine, err)) return false;
     if (!readDouble(*m, "place_overflow", &d.placeOverflow, err)) return false;
     if (!readInt(*m, "place_iterations", &d.placeIterations, err)) return false;
     if (!readInt(*m, "cells_resized", &d.cellsResized, err)) return false;

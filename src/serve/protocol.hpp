@@ -61,7 +61,6 @@ struct JobSpec {
   bool resume = true;            ///< false forces a cold run (warms the cache)
   int macroDieMetals = 6;
   double f2fPitchScale = 1.0;    ///< ECO knob: scales F2fViaSpec::pitch
-  std::string placeEngine = "b2b";  ///< b2b | analytic (PlacerOptions::engine)
   std::string label;             ///< free-form client tag (reports/traces)
 
   /// Identity of the base design: a hash over every field that shapes the
@@ -75,6 +74,8 @@ struct JobSpec {
   std::string validate() const;
 
   void writeJson(obs::JsonWriter& w) const;
+  /// Parses a spec; absent keys keep their defaults. Fails on a key that
+  /// writeJson does not emit, on a wrong-typed value and on validate().
   static bool fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err);
 };
 

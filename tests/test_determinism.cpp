@@ -56,39 +56,6 @@ TEST(PlacerDeterminism, BitIdenticalAcrossThreadCounts) {
 
   std::vector<Point> reference;
   double referenceHpwl = 0.0;
-  for (const int threads : kThreadCounts) {
-    Library lib = makeStdCellLib(tech);
-    Netlist nl(&lib);
-    Floorplan fp;
-    buildPlacerProblem(tech, nl, fp);
-
-    PlacerOptions popt;
-    popt.numThreads = threads;
-    const PlaceResult pr = globalPlace(nl, fp, popt);
-    ASSERT_TRUE(pr.success);
-
-    if (threads == kThreadCounts[0]) {
-      for (InstId i = 0; i < nl.numInstances(); ++i) reference.push_back(nl.instance(i).pos);
-      referenceHpwl = pr.hpwlUm;
-      continue;
-    }
-    ASSERT_EQ(nl.numInstances(), static_cast<InstId>(reference.size()));
-    for (InstId i = 0; i < nl.numInstances(); ++i) {
-      ASSERT_EQ(nl.instance(i).pos, reference[static_cast<std::size_t>(i)])
-          << "instance " << nl.instance(i).name << " moved at numThreads=" << threads;
-    }
-    EXPECT_EQ(pr.hpwlUm, referenceHpwl) << "HPWL drifted at numThreads=" << threads;
-  }
-}
-
-// The analytic (ePlace-style) engine runs exp-heavy wirelength passes, FFT
-// rows and per-cell gathers on the pool; the whole Nesterov trajectory — and
-// therefore the legalized placement — must be schedule-independent.
-TEST(PlacerDeterminism, AnalyticEngineBitIdenticalAcrossThreadCounts) {
-  const TechNode tech = makeTech28(6);
-
-  std::vector<Point> reference;
-  double referenceHpwl = 0.0;
   double referenceOverflow = 0.0;
   int referenceIters = 0;
   for (const int threads : kThreadCounts) {
@@ -98,7 +65,6 @@ TEST(PlacerDeterminism, AnalyticEngineBitIdenticalAcrossThreadCounts) {
     buildPlacerProblem(tech, nl, fp);
 
     PlacerOptions popt;
-    popt.engine = PlaceEngine::kAnalytic;
     popt.numThreads = threads;
     const PlaceResult pr = globalPlace(nl, fp, popt);
     ASSERT_TRUE(pr.success);
@@ -401,7 +367,6 @@ void expectMetricsEqual(const DesignMetrics& a, const DesignMetrics& b, int thre
   EXPECT_EQ(a.f2fBumpCount, b.f2fBumpCount) << "threads=" << threads;
   EXPECT_EQ(a.legalizeAvgDispUm, b.legalizeAvgDispUm) << "threads=" << threads;
   EXPECT_EQ(a.placeHpwlMm, b.placeHpwlMm) << "threads=" << threads;
-  EXPECT_EQ(a.placeEngine, b.placeEngine) << "threads=" << threads;
   EXPECT_EQ(a.placeOverflow, b.placeOverflow) << "threads=" << threads;
   EXPECT_EQ(a.placeIterations, b.placeIterations) << "threads=" << threads;
   EXPECT_EQ(a.cellsResized, b.cellsResized) << "threads=" << threads;

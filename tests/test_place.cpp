@@ -181,6 +181,38 @@ TEST_F(PlaceFixture, FixedMacrosStayPut) {
   EXPECT_EQ(nl_.instance(macro).pos, before);
 }
 
+// PlaceResult::overflow separates a pile from a spread placement, stays in
+// [0, 1] and does not depend on the thread count. With maxIters = 0 the
+// placer writes no positions back, so its overflow is that of the input.
+TEST_F(PlaceFixture, OverflowSeparatesPiledFromPlacedAndIsThreadInvariant) {
+  buildCloud(400, 80, 70);
+  const Point center = fp_.die.center();
+  auto pile = [&] {
+    for (InstId i = 0; i < nl_.numInstances(); ++i) nl_.instance(i).pos = center;
+  };
+
+  pile();
+  PlacerOptions measureOnly;
+  measureOnly.maxIters = 0;
+  const double piled = globalPlace(nl_, fp_, measureOnly).overflow;
+  for (InstId i = 0; i < nl_.numInstances(); ++i) ASSERT_EQ(nl_.instance(i).pos, center);
+
+  double placed[2] = {0.0, 0.0};
+  const int threads[2] = {1, 8};
+  for (int k = 0; k < 2; ++k) {
+    pile();
+    PlacerOptions opt;
+    opt.numThreads = threads[k];
+    const PlaceResult pr = globalPlace(nl_, fp_, opt);
+    ASSERT_TRUE(pr.success);
+    placed[k] = pr.overflow;
+  }
+  EXPECT_GE(placed[0], 0.0);
+  EXPECT_LE(placed[0], 1.0);
+  EXPECT_GT(piled, placed[0]);
+  EXPECT_EQ(placed[1], placed[0]) << "overflow drifted at numThreads=8";
+}
+
 TEST(Legalizer, FailsGracefullyWhenNoRoom) {
   const TechNode tech = makeTech28(6);
   Library lib = makeStdCellLib(tech);

@@ -117,15 +117,15 @@ TEST(ObsRunDiff, IncrementalStaKeysGatePolicy) {
   EXPECT_EQ(metricDirection("counters.sta.cone_nodes"), MetricDirection::kInfo);
 }
 
-// Direction policy lock for the placer-engine ablation gate: HPWL and
-// density-overflow keys (bench table + flow finals + per-iteration series)
-// must gate as higher-worse so a QoR slip in either engine fails the diff.
+// Direction policy lock for placement QoR: HPWL and density-overflow keys
+// (bench tables + flow finals + per-iteration series) must gate as
+// higher-worse so a placer QoR slip fails the diff.
 TEST(ObsRunDiff, PlaceQorKeysGateHigherWorse) {
   EXPECT_EQ(metricDirection("final.place_hpwl_mm"), MetricDirection::kHigherWorse);
   EXPECT_EQ(metricDirection("final.place_overflow"), MetricDirection::kHigherWorse);
   EXPECT_EQ(metricDirection("series.place.iter_hpwl.last"), MetricDirection::kHigherWorse);
   EXPECT_EQ(metricDirection("series.place.iter_overflow.last"), MetricDirection::kHigherWorse);
-  EXPECT_EQ(metricDirection("bench.hpwl_ablation.analytic_small.hpwl_um"),
+  EXPECT_EQ(metricDirection("bench.hpwl_ablation.small.hpwl_um"),
             MetricDirection::kHigherWorse);
   EXPECT_EQ(metricDirection("bench.hpwl_ablation.b2b_small.route_overflow"),
             MetricDirection::kHigherWorse);

@@ -66,7 +66,6 @@ TEST(ServeProtocol, SpecJsonRoundTrip) {
   spec.resume = false;
   spec.signoff = false;
   spec.macroDieMetals = 4;
-  spec.placeEngine = "analytic";
   spec.label = "pitch-study \"quoted\"";
 
   const std::string line = encodeSubmit(spec);
@@ -90,7 +89,6 @@ TEST(ServeProtocol, SpecJsonRoundTrip) {
   EXPECT_EQ(back.resume, spec.resume);
   EXPECT_EQ(back.macroDieMetals, spec.macroDieMetals);
   EXPECT_EQ(back.f2fPitchScale, spec.f2fPitchScale);
-  EXPECT_EQ(back.placeEngine, spec.placeEngine);
   EXPECT_EQ(back.label, spec.label);
 }
 
@@ -113,14 +111,22 @@ TEST(ServeProtocol, SpecValidationRejectsBadFields) {
   bad = spec;
   bad.macroDieMetals = 5;
   EXPECT_NE(bad.validate(), "");
-  bad = spec;
-  bad.placeEngine = "quadratic";
-  EXPECT_NE(bad.validate(), "");
   // ECO against a flow with no F2F interface is meaningless.
   bad = spec;
   bad.kind = JobKind::kEco;
   bad.flow = "2d";
   EXPECT_NE(bad.validate(), "");
+
+  // The parser fails closed on any key writeJson does not emit: a client
+  // still sending the retired placement-engine selector gets an error, not
+  // a silent run of the one placer.
+  std::string err;
+  const auto doc = obs::parseJson(
+      R"({"flow":"macro3d","tile":"tiny","place_engine":"analytic"})", &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  JobSpec out;
+  EXPECT_FALSE(JobSpec::fromJson(*doc, &out, &err));
+  EXPECT_NE(err.find("place_engine"), std::string::npos) << err;
 }
 
 TEST(ServeProtocol, HashHexRoundTrip) {
@@ -161,10 +167,6 @@ TEST(ServeProtocol, BaseKeyIgnoresEcoAndSchedulingKnobs) {
   EXPECT_NE(diff.baseKey(), base.baseKey());
   diff = base;
   diff.maxFreqRounds = 3;
-  EXPECT_NE(diff.baseKey(), base.baseKey());
-  // The place engine shapes the place-stage prefix, so it must re-key.
-  diff = base;
-  diff.placeEngine = "analytic";
   EXPECT_NE(diff.baseKey(), base.baseKey());
 }
 
@@ -422,15 +424,10 @@ TEST(ServeRunner, FlowOptionsMapping) {
   EXPECT_EQ(opt.optBase.maxPasses, 6);
   EXPECT_EQ(opt.ecoRouteFrom, "/seed/route.m3ddb");
   EXPECT_EQ(opt.f2fVia.pitch, FlowOptions{}.f2fVia.pitch * 2);
-  EXPECT_EQ(opt.placer.engine, PlaceEngine::kB2B);  // spec default is "b2b"
 
   // A plain flow job never consumes the ECO seed.
   spec.kind = JobKind::kFlow;
   EXPECT_EQ(flowOptionsFor(spec, ropt, "/seed/route.m3ddb").ecoRouteFrom, "");
-
-  // The engine name maps onto PlacerOptions::engine.
-  spec.placeEngine = "analytic";
-  EXPECT_EQ(flowOptionsFor(spec, ropt, "").placer.engine, PlaceEngine::kAnalytic);
 }
 
 // ---------------------------------------------------------------------------
