@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Quick development loop: configure + build + fast test subset + the
 # run-diff regression-gate self-consistency smoke + the checked-in baseline
-# gates (bench/baselines/BENCH_{route,serve,sta}_smoke.json).
+# gates (bench/baselines/BENCH_{route,serve,sta}_smoke.json) + the flow
+# benchmark's smoke run (flowbench/run.py --smoke).
 #
 # Runs everything EXCEPT the slow end-to-end flow suites (`ctest -LE slow`),
 # which covers all unit/property tests including the design-database suites
@@ -108,3 +109,10 @@ echo "quickcheck: serve smoke matches checked-in baseline"
   "$SMOKE_DIR/BENCH_sta_smoke.json" --wall-threshold 10000 \
   --metric scalars.edit_speedup=100000 --metric scalars.minp_speedup=100000
 echo "quickcheck: sta smoke matches checked-in baseline"
+
+# Flow-benchmark smoke: flowbench/ compiles src/ with its own CMake package
+# and reads FlowOptions / PipelineFlags fields directly, so a src/ API change
+# that breaks it would otherwise surface only when the benchmark runs. The
+# smoke drives every workload path in seconds and checks its result line.
+python3 flowbench/run.py --smoke
+echo "quickcheck: flowbench smoke OK"

@@ -1,5 +1,6 @@
 #include "flows/flow_checkpoint.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "db/codec.hpp"
@@ -36,68 +37,36 @@ constexpr const char* kSecVerify = "verify";
 constexpr const char* kSecTrace = "trace";
 
 void encodeMetrics(BinWriter& w, const DesignMetrics& m) {
-  w.str(m.flow);
-  w.str(m.tileName);
-  w.f64(m.fclkMhz);
-  w.f64(m.minPeriodNs);
-  w.f64(m.emeanFj);
-  w.f64(m.powerMw);
-  w.f64(m.footprintMm2);
-  w.f64(m.logicCellAreaMm2);
-  w.f64(m.totalWirelengthM);
-  w.f64(m.wirelengthLogicDieM);
-  w.f64(m.wirelengthMacroDieM);
-  w.i64(m.f2fBumps);
-  w.f64(m.cpinNf);
-  w.f64(m.cwireNf);
-  w.i32(m.clockTreeDepth);
-  w.f64(m.clockSkewPs);
-  w.f64(m.critPathWirelengthMm);
-  w.f64(m.metalAreaMm2);
-  w.i32(m.overflowedEdges);
-  w.i32(m.unroutedNets);
-  w.i32(m.verifyViolations);
-  w.i32(m.verifyWarnings);
-  w.i64(m.f2fBumpCount);
-  w.f64(m.legalizeAvgDispUm);
-  w.f64(m.placeHpwlMm);
-  w.f64(m.placeOverflow);
-  w.i32(m.placeIterations);
-  w.i32(m.cellsResized);
-  w.i32(m.buffersInserted);
+  forEachMetric(m, [&w](const char*, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      w.str(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w.f64(value);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      w.i64(value);
+    } else {
+      static_assert(std::is_same_v<T, int>);
+      w.i32(value);
+    }
+  });
 }
 
 bool decodeMetrics(BinReader& r, DesignMetrics& m) {
   m = DesignMetrics{};
-  m.flow = r.str();
-  m.tileName = r.str();
-  m.fclkMhz = r.f64();
-  m.minPeriodNs = r.f64();
-  m.emeanFj = r.f64();
-  m.powerMw = r.f64();
-  m.footprintMm2 = r.f64();
-  m.logicCellAreaMm2 = r.f64();
-  m.totalWirelengthM = r.f64();
-  m.wirelengthLogicDieM = r.f64();
-  m.wirelengthMacroDieM = r.f64();
-  m.f2fBumps = r.i64();
-  m.cpinNf = r.f64();
-  m.cwireNf = r.f64();
-  m.clockTreeDepth = r.i32();
-  m.clockSkewPs = r.f64();
-  m.critPathWirelengthMm = r.f64();
-  m.metalAreaMm2 = r.f64();
-  m.overflowedEdges = r.i32();
-  m.unroutedNets = r.i32();
-  m.verifyViolations = r.i32();
-  m.verifyWarnings = r.i32();
-  m.f2fBumpCount = r.i64();
-  m.legalizeAvgDispUm = r.f64();
-  m.placeHpwlMm = r.f64();
-  m.placeOverflow = r.f64();
-  m.placeIterations = r.i32();
-  m.cellsResized = r.i32();
-  m.buffersInserted = r.i32();
+  forEachMetric(m, [&r](const char*, auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      value = r.str();
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = r.f64();
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      value = r.i64();
+    } else {
+      static_assert(std::is_same_v<T, int>);
+      value = r.i32();
+    }
+  });
   return r.ok();
 }
 
@@ -285,13 +254,14 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     HashStream h;
     h.u64(root.digest());
     h.str(kPipelineStageNames[0]);
-    h.b(flags.skipGlobalPlace);
-    h.b(flags.insertRepeaters);
-    h.i64(opt.partialBlockageResolution);
-    h.i32(opt.placer.maxIters);
-    h.b(opt.placer.useExistingPositions);
-    h.i64(opt.placer.legalizer.partialBlockageResolution);
-    h.f64(opt.placer.legalizer.cellWidthScale);
+    h.b(flags.inheritPlacement);
+    // The overlap-fix and repeater legalizations run at the same
+    // partialBlockageResolution the placer's legalizer receives.
+    const PlacerOptions popt = pipelinePlacerOptions(opt);
+    h.i32(popt.maxIters);
+    h.b(popt.useExistingPositions);
+    h.i64(popt.legalizer.partialBlockageResolution);
+    h.f64(popt.legalizer.cellWidthScale);
     keys[0] = h.digest();
   }
 
@@ -302,9 +272,7 @@ std::array<std::uint64_t, 7> computeStageKeys(const FlowOutput& out, const FlowO
     h.str(kPipelineStageNames[1]);
     h.b(flags.preRouteOpt);
     if (flags.preRouteOpt) {
-      EstimationOptions eopt =
-          makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-      eopt.lengthScale = flags.estimationLengthScale;
+      const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
       h.f64(eopt.rPerUm);
       h.f64(eopt.cPerUm);
       h.f64(eopt.parasiticScale);
@@ -440,16 +408,6 @@ db::DbStatus saveStageCheckpoint(const FlowOutput& out, const std::string& pipel
                     payloadOf([&](BinWriter& w) { db::encodeVerifyReport(w, out.verify); }));
   dbFile.setSection(kSecTrace, payloadOf([&](BinWriter& w) { w.str(pipelineTrace); }));
   return dbFile.saveFile(path);
-}
-
-int checkpointStageIndex(const db::DesignDb& dbFile) {
-  const std::vector<std::uint8_t>* payload = dbFile.section(kSecMeta);
-  if (payload == nullptr) return -1;
-  BinReader r(*payload);
-  const std::uint32_t keyVersion = r.u32();
-  const std::int32_t stage = r.i32();
-  if (!r.ok() || keyVersion != kStageKeyVersion || stage < 0 || stage > 6) return -1;
-  return stage;
 }
 
 db::DbStatus restoreStageCheckpoint(const std::string& path, FlowOutput& out,

@@ -38,7 +38,7 @@ namespace m3d {
 
 /// Bump when the pipeline semantics or the key recipe change: stale caches
 /// from older binaries then miss instead of restoring wrong state.
-inline constexpr std::uint32_t kStageKeyVersion = 8;  // v8: place key and metrics drop the engine and B2B schedule knobs
+inline constexpr std::uint32_t kStageKeyVersion = 9;  // v9: place key hashes the options globalPlace receives
 
 /// Content keys of the seven pipeline stages for this pipeline input.
 /// Call at pipeline entry (before the place stage mutates the netlist).
@@ -70,8 +70,5 @@ db::DbStatus restoreStageCheckpoint(const std::string& path, FlowOutput& out,
 /// out.grid and out.report are not part of the database and are left empty.
 db::DbStatus loadFlowCheckpoint(const std::string& path, FlowOutput& out,
                                 std::string* pipelineTrace = nullptr);
-
-/// Stage index recorded in a checkpoint file (-1 if absent/corrupt).
-int checkpointStageIndex(const db::DesignDb& dbFile);
 
 }  // namespace m3d

@@ -119,29 +119,11 @@ obs::ScopedRun beginFlowRun(FlowKind kind, const std::string& tileName,
 }
 
 void finishFlowRun(FlowOutput& out, const FlowOptions& opt, obs::ScopedRun& run) {
-  const DesignMetrics& m = out.metrics;
-  run.final("fclk_mhz", m.fclkMhz);
-  run.final("min_period_ns", m.minPeriodNs);
-  run.final("emean_fj", m.emeanFj);
-  run.final("power_mw", m.powerMw);
-  run.final("footprint_mm2", m.footprintMm2);
-  run.final("logic_cell_area_mm2", m.logicCellAreaMm2);
-  run.final("total_wirelength_m", m.totalWirelengthM);
-  run.final("f2f_bumps", static_cast<double>(m.f2fBumps));
-  run.final("clock_tree_depth", m.clockTreeDepth);
-  run.final("clock_skew_ps", m.clockSkewPs);
-  run.final("crit_path_wl_mm", m.critPathWirelengthMm);
-  run.final("metal_area_mm2", m.metalAreaMm2);
-  run.final("place_hpwl_mm", m.placeHpwlMm);
-  run.final("place_overflow", m.placeOverflow);
-  run.final("place_iterations", m.placeIterations);
-  run.final("overflowed_edges", m.overflowedEdges);
-  run.final("unrouted_nets", m.unroutedNets);
-  run.final("cells_resized", m.cellsResized);
-  run.final("buffers_inserted", m.buffersInserted);
-  run.final("verify_violations", m.verifyViolations);
-  run.final("verify_warnings", m.verifyWarnings);
-  run.final("verify_f2f_bumps", static_cast<double>(m.f2fBumpCount));
+  forEachMetric(out.metrics, [&run](const char* key, const auto& value) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(value)>>) {
+      run.final(key, static_cast<double>(value));
+    }
+  });
   out.report = run.finish();
 
   std::string path = opt.report.jsonPath;
@@ -183,36 +165,36 @@ void finishFlowRun(FlowOutput& out, const FlowOptions& opt, obs::ScopedRun& run)
 
 void writeDesignMetricsJson(obs::JsonWriter& w, const DesignMetrics& m) {
   w.beginObject();
-  w.kv("flow", std::string_view(m.flow));
-  w.kv("tile", std::string_view(m.tileName));
-  w.kv("fclk_mhz", m.fclkMhz);
-  w.kv("min_period_ns", m.minPeriodNs);
-  w.kv("emean_fj", m.emeanFj);
-  w.kv("power_mw", m.powerMw);
-  w.kv("footprint_mm2", m.footprintMm2);
-  w.kv("logic_cell_area_mm2", m.logicCellAreaMm2);
-  w.kv("total_wirelength_m", m.totalWirelengthM);
-  w.kv("wirelength_logic_die_m", m.wirelengthLogicDieM);
-  w.kv("wirelength_macro_die_m", m.wirelengthMacroDieM);
-  w.kv("f2f_bumps", m.f2fBumps);
-  w.kv("cpin_nf", m.cpinNf);
-  w.kv("cwire_nf", m.cwireNf);
-  w.kv("clock_tree_depth", m.clockTreeDepth);
-  w.kv("clock_skew_ps", m.clockSkewPs);
-  w.kv("crit_path_wl_mm", m.critPathWirelengthMm);
-  w.kv("metal_area_mm2", m.metalAreaMm2);
-  w.kv("overflowed_edges", m.overflowedEdges);
-  w.kv("unrouted_nets", m.unroutedNets);
-  w.kv("verify_violations", m.verifyViolations);
-  w.kv("verify_warnings", m.verifyWarnings);
-  w.kv("verify_f2f_bumps", m.f2fBumpCount);
-  w.kv("legalize_avg_disp_um", m.legalizeAvgDispUm);
-  w.kv("place_hpwl_mm", m.placeHpwlMm);
-  w.kv("place_overflow", m.placeOverflow);
-  w.kv("place_iterations", m.placeIterations);
-  w.kv("cells_resized", m.cellsResized);
-  w.kv("buffers_inserted", m.buffersInserted);
+  forEachMetric(m, [&w](const char* key, const auto& value) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, std::string>) {
+      w.kv(key, std::string_view(value));
+    } else {
+      w.kv(key, value);
+    }
+  });
   w.endObject();
+}
+
+PlacerOptions pipelinePlacerOptions(const FlowOptions& opt) {
+  PlacerOptions popt = opt.placer;
+  popt.useExistingPositions = true;
+  popt.legalizer.partialBlockageResolution = opt.partialBlockageResolution;
+  return popt;
+}
+
+MaxFreqOptResult optimizeForTimingGoal(Netlist& nl, std::vector<NetParasitics>& paras,
+                                       ParasiticsProvider& provider, const ClockModel* clock,
+                                       const OptimizerOptions& base, const FlowOptions& opt) {
+  if (opt.maxPerformance) {
+    return optimizeForMaxFrequency(nl, paras, provider, clock, base, opt.maxFreqRounds);
+  }
+  OptimizerOptions o = base;
+  o.targetPeriod = opt.targetPeriodNs * 1e-9;
+  const OptimizeResult res = optimizeTiming(nl, paras, provider, clock, o);
+  MaxFreqOptResult r;
+  r.cellsResized = res.cellsResized;
+  r.buffersInserted = res.buffersInserted;
+  return r;
 }
 
 const char* flowName(FlowKind kind) {
@@ -494,17 +476,22 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     }
   };
 
+  // Every legalization after global place runs at the flow's partial-
+  // blockage resolution.
+  const auto relegalize = [&] {
+    LegalizerOptions lopt;
+    lopt.partialBlockageResolution = opt.partialBlockageResolution;
+    return legalize(nl, out.fp, lopt);
+  };
+
   // --- Placement -----------------------------------------------------------
   {
     obs::ScopedPhase phase(kPipelineStageNames[0]);  // place
     if (cache.enabled()) phase.attr("cache_hit", stageRestored(0) ? 1.0 : 0.0);
     if (!stageRestored(0)) {
-    if (!flags.skipGlobalPlace) {
+    if (!flags.inheritPlacement) {
       seedPlacementByModules(*out.tile, out.fp);
-      PlacerOptions popt = opt.placer;
-      popt.useExistingPositions = true;
-      popt.legalizer.partialBlockageResolution = opt.partialBlockageResolution;
-      const PlaceResult pr = globalPlace(nl, out.fp, popt);
+      const PlaceResult pr = globalPlace(nl, out.fp, pipelinePlacerOptions(opt));
       out.metrics.placeHpwlMm = displayMm(pr.hpwlUm);
       out.metrics.legalizeAvgDispUm = displayUm(pr.legal.avgDisplacementUm);
       out.metrics.placeOverflow = pr.overflow;
@@ -518,10 +505,18 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
       M3D_LOG(info) << "place done: hpwl_mm=" << out.metrics.placeHpwlMm
                     << " overflow=" << pr.overflow
                     << " iters=" << pr.iterations << " legal_fail=" << pr.legal.failedCells;
+
+      // Global repeater insertion belongs to the placement stage.
+      const NetBufferingResult nb = bufferLongNets(nl, out.fp);
+      out.metrics.buffersInserted += nb.buffersInserted;
+      obs::counter("place.repeaters_inserted").add(nb.buffersInserted);
+      const LegalizeResult lr = relegalize();
+      trace << "repeaters: inserted=" << nb.buffersInserted << " legal_fail=" << lr.failedCells
+            << "\n";
+      M3D_LOG(info) << "repeaters inserted=" << nb.buffersInserted
+                    << " legal_fail=" << lr.failedCells;
     } else {
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      const LegalizeResult lr = legalize(nl, out.fp, lopt);
+      const LegalizeResult lr = relegalize();
       out.metrics.legalizeAvgDispUm = displayUm(lr.avgDisplacementUm);
       out.metrics.placeHpwlMm = displayMm(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
       obs::series("place.hpwl").record(dbuToUm(static_cast<Dbu>(nl.totalHpwl())));
@@ -533,20 +528,6 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
       M3D_LOG(info) << "place done (overlap-fix): avg_disp_um="
                     << out.metrics.legalizeAvgDispUm << " legal_fail=" << lr.failedCells;
     }
-
-    // Global repeater insertion belongs to the placement stage.
-    if (flags.insertRepeaters) {
-      const NetBufferingResult nb = bufferLongNets(nl, out.fp);
-      out.metrics.buffersInserted += nb.buffersInserted;
-      obs::counter("place.repeaters_inserted").add(nb.buffersInserted);
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      const LegalizeResult lr = legalize(nl, out.fp, lopt);
-      trace << "repeaters: inserted=" << nb.buffersInserted << " legal_fail=" << lr.failedCells
-            << "\n";
-      M3D_LOG(info) << "repeaters inserted=" << nb.buffersInserted
-                    << " legal_fail=" << lr.failedCells;
-    }
     saveStage(0);
     }
   }
@@ -557,23 +538,15 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
   if (cache.enabled()) phase.attr("cache_hit", stageRestored(1) ? 1.0 : 0.0);
   if (!stageRestored(1)) {
   if (flags.preRouteOpt) {
-    EstimationOptions eopt =
-        makeEstimationOptions(out.routingBeol, flags.estimationParasiticScale);
-    eopt.lengthScale = flags.estimationLengthScale;
+    const EstimationOptions eopt = makeEstimationOptions(out.routingBeol);
     EstimatedParasitics provider(eopt);
     out.paras = estimateDesign(nl, eopt);
     const int presized = presizeForLoad(nl, out.paras, provider);
     trace << "presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, out.paras, provider, nullptr, opt.optBase,
-                                  opt.maxFreqRounds);
-    } else {
-      OptimizerOptions o = opt.optBase;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, out.paras, provider, nullptr, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
+    MaxFreqOptResult r =
+        optimizeForTimingGoal(nl, out.paras, provider, nullptr, opt.optBase, opt);
+    if (!opt.maxPerformance) {
+      // Iso mode optimizes to the target; probe the period the trace reports.
       r.minPeriod = Sta(nl, out.paras, nullptr, kTypicalCorner, opt.numThreads).findMinPeriod();
     }
     out.metrics.cellsResized += r.cellsResized;
@@ -585,9 +558,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     M3D_LOG(info) << "pre-route opt done: resized=" << r.cellsResized
                   << " buffers=" << r.buffersInserted << " est_minT_ns=" << r.minPeriod * 1e9;
     // Inserted buffers need legal positions.
-    LegalizerOptions lopt;
-    lopt.partialBlockageResolution = opt.partialBlockageResolution;
-    const LegalizeResult lr = legalize(nl, out.fp, lopt);
+    const LegalizeResult lr = relegalize();
     if (lr.failedCells > 0) {
       trace << "WARN pre-route-opt legalize fail=" << lr.failedCells << "\n";
       M3D_LOG(warn) << "pre-route-opt legalize fail=" << lr.failedCells;
@@ -606,11 +577,7 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     if (!stageRestored(2)) {
     const NetId clockNet = out.tile->groups.clockNet;
     out.cts = synthesizeClockTree(nl, clockNet, out.fp, opt.cts);
-    {
-      LegalizerOptions lopt;
-      lopt.partialBlockageResolution = opt.partialBlockageResolution;
-      legalize(nl, out.fp, lopt);
-    }
+    relegalize();
     phase.attr("sinks", out.cts.numSinks);
     phase.attr("buffers", static_cast<double>(out.cts.buffers.size()));
     phase.attr("depth", out.cts.maxDepth);
@@ -705,17 +672,8 @@ void runPnrPipeline(FlowOutput& out, const FlowOptions& optIn, const PipelineFla
     const int presized =
         presizeForLoad(nl, out.paras, provider, 130e-12, guarded.resizeGuard);
     trace << "post-route presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, out.paras, provider, &out.clock, guarded,
-                                  opt.maxFreqRounds);
-    } else {
-      OptimizerOptions o = guarded;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, out.paras, provider, &out.clock, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
-    }
+    const MaxFreqOptResult r =
+        optimizeForTimingGoal(nl, out.paras, provider, &out.clock, guarded, opt);
     out.metrics.cellsResized += r.cellsResized;
     out.metrics.buffersInserted += r.buffersInserted;
     phase.attr("cells_resized", r.cellsResized);

@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cts/cts.hpp"
@@ -190,6 +191,44 @@ struct DesignMetrics {
   int buffersInserted = 0;
 };
 
+/// Visits every DesignMetrics field as f(json_key, member), in the order of
+/// the metrics JSON and the DesignDb metrics section. The one list of the
+/// fields: the JSON writer and parser, the run report's finals, the
+/// checkpoint codec and the tests all walk it. \p m may be const.
+template <typename Metrics, typename F>
+void forEachMetric(Metrics& m, F&& f) {
+  static_assert(std::is_same_v<std::remove_const_t<Metrics>, DesignMetrics>);
+  f("flow", m.flow);
+  f("tile", m.tileName);
+  f("fclk_mhz", m.fclkMhz);
+  f("min_period_ns", m.minPeriodNs);
+  f("emean_fj", m.emeanFj);
+  f("power_mw", m.powerMw);
+  f("footprint_mm2", m.footprintMm2);
+  f("logic_cell_area_mm2", m.logicCellAreaMm2);
+  f("total_wirelength_m", m.totalWirelengthM);
+  f("wirelength_logic_die_m", m.wirelengthLogicDieM);
+  f("wirelength_macro_die_m", m.wirelengthMacroDieM);
+  f("f2f_bumps", m.f2fBumps);
+  f("cpin_nf", m.cpinNf);
+  f("cwire_nf", m.cwireNf);
+  f("clock_tree_depth", m.clockTreeDepth);
+  f("clock_skew_ps", m.clockSkewPs);
+  f("crit_path_wl_mm", m.critPathWirelengthMm);
+  f("metal_area_mm2", m.metalAreaMm2);
+  f("overflowed_edges", m.overflowedEdges);
+  f("unrouted_nets", m.unroutedNets);
+  f("verify_violations", m.verifyViolations);
+  f("verify_warnings", m.verifyWarnings);
+  f("verify_f2f_bumps", m.f2fBumpCount);
+  f("legalize_avg_disp_um", m.legalizeAvgDispUm);
+  f("place_hpwl_mm", m.placeHpwlMm);
+  f("place_overflow", m.placeOverflow);
+  f("place_iterations", m.placeIterations);
+  f("cells_resized", m.cellsResized);
+  f("buffers_inserted", m.buffersInserted);
+}
+
 /// Everything a flow produces (kept alive for rendering and inspection).
 struct FlowOutput {
   std::unique_ptr<Library> lib;
@@ -223,15 +262,24 @@ struct FlowOutput {
 struct PipelineFlags {
   bool preRouteOpt = true;
   bool postRouteOpt = true;
-  /// Skip placement (pseudo flows hand over an already-mapped placement and
-  /// only want legalization + downstream steps).
-  bool skipGlobalPlace = false;
-  /// Run global repeater insertion after placement (pseudo flows do their
-  /// own insertion in the pseudo phase).
-  bool insertRepeaters = true;
-  double estimationParasiticScale = 1.0;
-  double estimationLengthScale = 1.0;
+  /// The pseudo flows (S2D/BF-S2D/C2D) hand over a design placed and
+  /// buffered in their pseudo phase: the place stage then skips global
+  /// placement and repeater insertion and only runs the overlap-fix
+  /// legalization.
+  bool inheritPlacement = false;
 };
+
+/// The PlacerOptions the place stage passes to globalPlace: opt.placer with
+/// the module seeds as the solver start and the flow's partial-blockage
+/// resolution. The place-stage key hashes exactly these options.
+PlacerOptions pipelinePlacerOptions(const FlowOptions& opt);
+
+/// The flow's timing goal: optimizeForMaxFrequency in max-performance mode,
+/// else one optimizeTiming pass at the target period (minPeriod then stays
+/// 0; a caller that reports it probes it itself).
+MaxFreqOptResult optimizeForTimingGoal(Netlist& nl, std::vector<NetParasitics>& paras,
+                                       ParasiticsProvider& provider, const ClockModel* clock,
+                                       const OptimizerOptions& base, const FlowOptions& opt);
 
 /// Runs the common pipeline on out.tile->netlist over out.fp/out.routingBeol
 /// and fills out.metrics (except flow/tile names and footprint fields, which

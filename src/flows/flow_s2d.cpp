@@ -141,19 +141,9 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& opt, FlowKind
     std::vector<NetParasitics> paras = estimateDesign(nl, eopt);
     const int presized = presizeForLoad(nl, paras, provider);
     trace << "pseudo presize: resized=" << presized << "\n";
-    MaxFreqOptResult r;
     OptimizerOptions obase = opt.optBase;
     if (obase.numThreads == 0) obase.numThreads = opt.numThreads;
-    if (opt.maxPerformance) {
-      r = optimizeForMaxFrequency(nl, paras, provider, nullptr, obase,
-                                  opt.maxFreqRounds);
-    } else {
-      OptimizerOptions o = obase;
-      o.targetPeriod = opt.targetPeriodNs * 1e-9;
-      const OptimizeResult res = optimizeTiming(nl, paras, provider, nullptr, o);
-      r.cellsResized = res.cellsResized;
-      r.buffersInserted = res.buffersInserted;
-    }
+    const MaxFreqOptResult r = optimizeForTimingGoal(nl, paras, provider, nullptr, obase, opt);
     out.metrics.cellsResized += r.cellsResized;
     out.metrics.buffersInserted += r.buffersInserted;
     trace << "pseudo opt: resized=" << r.cellsResized << " buffers=" << r.buffersInserted
@@ -203,8 +193,7 @@ FlowOutput runPseudoFlow(const TileConfig& cfg, const FlowOptions& opt, FlowKind
   // cost optimization; model as a cheap F2F crossing (no bump economy).
   fopt.router.f2fViaCost = opt.s2dF2fPlanningCost;
   PipelineFlags flags;
-  flags.skipGlobalPlace = true;   // placement is inherited from the pseudo design
-  flags.insertRepeaters = false;  // repeaters came from the pseudo design
+  flags.inheritPlacement = true;  // placement and repeaters come from the pseudo design
   flags.preRouteOpt = c2d;        // C2D's post-tier-partitioning optimization
   flags.postRouteOpt = opt.pseudoPostRouteOpt;  // paper flows: false
   runPnrPipeline(out, fopt, flags, trace);

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <string_view>
 #include <sstream>
+#include <type_traits>
 
 #include "db/hash.hpp"
 
@@ -226,36 +227,21 @@ bool JobResult::fromJson(const obs::JsonValue& v, JobResult* out, std::string* e
   }
   JobResult r;
   if (const obs::JsonValue* m = v.find("metrics"); m != nullptr && m->isObject()) {
-    DesignMetrics& d = r.metrics;
-    if (!readString(*m, "flow", &d.flow, err)) return false;
-    if (!readString(*m, "tile", &d.tileName, err)) return false;
-    if (!readDouble(*m, "fclk_mhz", &d.fclkMhz, err)) return false;
-    if (!readDouble(*m, "min_period_ns", &d.minPeriodNs, err)) return false;
-    if (!readDouble(*m, "emean_fj", &d.emeanFj, err)) return false;
-    if (!readDouble(*m, "power_mw", &d.powerMw, err)) return false;
-    if (!readDouble(*m, "footprint_mm2", &d.footprintMm2, err)) return false;
-    if (!readDouble(*m, "logic_cell_area_mm2", &d.logicCellAreaMm2, err)) return false;
-    if (!readDouble(*m, "total_wirelength_m", &d.totalWirelengthM, err)) return false;
-    if (!readDouble(*m, "wirelength_logic_die_m", &d.wirelengthLogicDieM, err)) return false;
-    if (!readDouble(*m, "wirelength_macro_die_m", &d.wirelengthMacroDieM, err)) return false;
-    if (!readI64(*m, "f2f_bumps", &d.f2fBumps, err)) return false;
-    if (!readDouble(*m, "cpin_nf", &d.cpinNf, err)) return false;
-    if (!readDouble(*m, "cwire_nf", &d.cwireNf, err)) return false;
-    if (!readInt(*m, "clock_tree_depth", &d.clockTreeDepth, err)) return false;
-    if (!readDouble(*m, "clock_skew_ps", &d.clockSkewPs, err)) return false;
-    if (!readDouble(*m, "crit_path_wl_mm", &d.critPathWirelengthMm, err)) return false;
-    if (!readDouble(*m, "metal_area_mm2", &d.metalAreaMm2, err)) return false;
-    if (!readInt(*m, "overflowed_edges", &d.overflowedEdges, err)) return false;
-    if (!readInt(*m, "unrouted_nets", &d.unroutedNets, err)) return false;
-    if (!readInt(*m, "verify_violations", &d.verifyViolations, err)) return false;
-    if (!readInt(*m, "verify_warnings", &d.verifyWarnings, err)) return false;
-    if (!readI64(*m, "verify_f2f_bumps", &d.f2fBumpCount, err)) return false;
-    if (!readDouble(*m, "legalize_avg_disp_um", &d.legalizeAvgDispUm, err)) return false;
-    if (!readDouble(*m, "place_hpwl_mm", &d.placeHpwlMm, err)) return false;
-    if (!readDouble(*m, "place_overflow", &d.placeOverflow, err)) return false;
-    if (!readInt(*m, "place_iterations", &d.placeIterations, err)) return false;
-    if (!readInt(*m, "cells_resized", &d.cellsResized, err)) return false;
-    if (!readInt(*m, "buffers_inserted", &d.buffersInserted, err)) return false;
+    bool ok = true;
+    forEachMetric(r.metrics, [&](const char* key, auto& value) {
+      using T = std::decay_t<decltype(value)>;
+      if (!ok) return;
+      if constexpr (std::is_same_v<T, std::string>) {
+        ok = readString(*m, key, &value, err);
+      } else if constexpr (std::is_same_v<T, double>) {
+        ok = readDouble(*m, key, &value, err);
+      } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        ok = readI64(*m, key, &value, err);
+      } else {
+        ok = readInt(*m, key, &value, err);
+      }
+    });
+    if (!ok) return false;
   }
   if (!readInt(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
   if (!readI64(v, "eco_ripped", &r.ecoRipped, err)) return false;

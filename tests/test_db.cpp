@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -389,6 +391,47 @@ TEST(DbStageCache, PathIsContentAddressedAndHasChecksExistence) {
   EXPECT_TRUE(noResume.enabled());
   EXPECT_FALSE(noResume.resumeEnabled());
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Stage keys
+
+/// The place-stage key hashes the options globalPlace receives: fields the
+/// pipeline overwrites before placing must not re-key the cache, and the
+/// flow-level resolution that replaces them must re-key every stage.
+TEST(DbStageKeys, PlaceKeyHashesOnlyWhatThePlacerReceives) {
+  FlowOutput out;
+  out.logicTech = makeTech28(6);
+  out.routingBeol = out.logicTech.beol;
+  out.lib = std::make_unique<Library>(makeStdCellLib(out.logicTech));
+  out.tile = std::make_unique<Tile>(out.lib.get());
+  Netlist& nl = out.tile->netlist;
+  const InstId a = nl.addInstance("a", out.lib->findCell("INV_X1"));
+  const InstId b = nl.addInstance("b", out.lib->findCell("INV_X1"));
+  const NetId n = nl.addNet("n");
+  nl.connect(n, a, "Y");
+  nl.connect(n, b, "A");
+  out.fp.die = Rect{0, 0, umToDbu(50.0), umToDbu(50.0)};
+  out.fp.rowHeight = out.logicTech.rowHeight;
+  out.fp.siteWidth = out.logicTech.siteWidth;
+
+  const FlowOptions opt;
+  const PipelineFlags flags;
+  const std::array<std::uint64_t, 7> base = computeStageKeys(out, opt, flags);
+
+  FlowOptions overwritten = opt;
+  overwritten.placer.legalizer.partialBlockageResolution = 2 * opt.partialBlockageResolution;
+  EXPECT_EQ(computeStageKeys(out, overwritten, flags), base);
+  overwritten = opt;
+  overwritten.placer.useExistingPositions = !opt.placer.useExistingPositions;
+  EXPECT_EQ(computeStageKeys(out, overwritten, flags), base);
+
+  FlowOptions live = opt;
+  live.partialBlockageResolution = 2 * opt.partialBlockageResolution;
+  const std::array<std::uint64_t, 7> changed = computeStageKeys(out, live, flags);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_NE(changed[i], base[i]) << kPipelineStageNames[i];
+  }
 }
 
 // ---------------------------------------------------------------------------

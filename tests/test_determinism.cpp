@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <random>
+#include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/macro3d.hpp"
@@ -343,34 +346,23 @@ TileConfig tinyConfig() {
   return cfg;
 }
 
+using MetricValue = std::variant<std::string, double, std::int64_t, int>;
+
+std::vector<std::pair<std::string, MetricValue>> metricValues(const DesignMetrics& m) {
+  std::vector<std::pair<std::string, MetricValue>> values;
+  forEachMetric(m, [&values](const char* key, const auto& value) {
+    values.emplace_back(key, MetricValue(value));
+  });
+  return values;
+}
+
 void expectMetricsEqual(const DesignMetrics& a, const DesignMetrics& b, int threads) {
-  EXPECT_EQ(a.fclkMhz, b.fclkMhz) << "threads=" << threads;
-  EXPECT_EQ(a.minPeriodNs, b.minPeriodNs) << "threads=" << threads;
-  EXPECT_EQ(a.emeanFj, b.emeanFj) << "threads=" << threads;
-  EXPECT_EQ(a.powerMw, b.powerMw) << "threads=" << threads;
-  EXPECT_EQ(a.footprintMm2, b.footprintMm2) << "threads=" << threads;
-  EXPECT_EQ(a.logicCellAreaMm2, b.logicCellAreaMm2) << "threads=" << threads;
-  EXPECT_EQ(a.totalWirelengthM, b.totalWirelengthM) << "threads=" << threads;
-  EXPECT_EQ(a.wirelengthLogicDieM, b.wirelengthLogicDieM) << "threads=" << threads;
-  EXPECT_EQ(a.wirelengthMacroDieM, b.wirelengthMacroDieM) << "threads=" << threads;
-  EXPECT_EQ(a.f2fBumps, b.f2fBumps) << "threads=" << threads;
-  EXPECT_EQ(a.cpinNf, b.cpinNf) << "threads=" << threads;
-  EXPECT_EQ(a.cwireNf, b.cwireNf) << "threads=" << threads;
-  EXPECT_EQ(a.clockTreeDepth, b.clockTreeDepth) << "threads=" << threads;
-  EXPECT_EQ(a.clockSkewPs, b.clockSkewPs) << "threads=" << threads;
-  EXPECT_EQ(a.critPathWirelengthMm, b.critPathWirelengthMm) << "threads=" << threads;
-  EXPECT_EQ(a.metalAreaMm2, b.metalAreaMm2) << "threads=" << threads;
-  EXPECT_EQ(a.overflowedEdges, b.overflowedEdges) << "threads=" << threads;
-  EXPECT_EQ(a.unroutedNets, b.unroutedNets) << "threads=" << threads;
-  EXPECT_EQ(a.verifyViolations, b.verifyViolations) << "threads=" << threads;
-  EXPECT_EQ(a.verifyWarnings, b.verifyWarnings) << "threads=" << threads;
-  EXPECT_EQ(a.f2fBumpCount, b.f2fBumpCount) << "threads=" << threads;
-  EXPECT_EQ(a.legalizeAvgDispUm, b.legalizeAvgDispUm) << "threads=" << threads;
-  EXPECT_EQ(a.placeHpwlMm, b.placeHpwlMm) << "threads=" << threads;
-  EXPECT_EQ(a.placeOverflow, b.placeOverflow) << "threads=" << threads;
-  EXPECT_EQ(a.placeIterations, b.placeIterations) << "threads=" << threads;
-  EXPECT_EQ(a.cellsResized, b.cellsResized) << "threads=" << threads;
-  EXPECT_EQ(a.buffersInserted, b.buffersInserted) << "threads=" << threads;
+  const auto va = metricValues(a);
+  const auto vb = metricValues(b);
+  ASSERT_EQ(va.size(), vb.size());
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].second, vb[i].second) << va[i].first << " threads=" << threads;
+  }
 }
 
 TEST(FlowDeterminism, Macro3dBitIdenticalAcrossThreadCounts) {
