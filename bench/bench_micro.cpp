@@ -148,6 +148,19 @@ void BM_ParallelForHpwl(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForHpwl)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// Fork/join cost of one pool job: an empty parallelFor over 24 one-item
+// chunks (the router's batch size), so only scheduling is timed.
+void BM_PoolForkJoin(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  std::vector<int> sink(24);
+  for (auto _ : state) {
+    par::parallelFor(
+        0, 24, 1, [&](std::int64_t i) { benchmark::DoNotOptimize(sink[static_cast<std::size_t>(i)]); },
+        threads);
+  }
+}
+BENCHMARK(BM_PoolForkJoin)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
+
 void BM_RouteThreads(benchmark::State& state) {
   CloudBench b(2000, 400);
   globalPlace(b.nl, b.fp);

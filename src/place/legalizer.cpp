@@ -15,20 +15,21 @@ struct Segment {
   Dbu hi;
 };
 
-/// Subtracts [lo, hi) from a sorted disjoint segment list.
+/// Subtracts [lo, hi) from a sorted disjoint segment list, in place: the
+/// segments it overlaps form one run, which gives way to the remnants left
+/// of lo and right of hi.
 void subtract(std::vector<Segment>& segs, Dbu lo, Dbu hi) {
   if (lo >= hi) return;
-  std::vector<Segment> out;
-  out.reserve(segs.size() + 1);
-  for (const Segment& s : segs) {
-    if (hi <= s.lo || lo >= s.hi) {
-      out.push_back(s);
-      continue;
-    }
-    if (lo > s.lo) out.push_back({s.lo, lo});
-    if (hi < s.hi) out.push_back({hi, s.hi});
-  }
-  segs = std::move(out);
+  const auto first = std::partition_point(segs.begin(), segs.end(),
+                                          [lo](const Segment& s) { return s.hi <= lo; });
+  const auto last =
+      std::partition_point(first, segs.end(), [hi](const Segment& s) { return s.lo < hi; });
+  if (first == last) return;
+  const Segment head{first->lo, lo};
+  const Segment tail{hi, (last - 1)->hi};
+  auto at = segs.erase(first, last);
+  if (tail.lo < tail.hi) at = segs.insert(at, tail);
+  if (head.lo < head.hi) segs.insert(at, head);
 }
 
 struct Row {
@@ -65,9 +66,6 @@ LegalizeResult legalize(Netlist& nl, const Floorplan& fp, const LegalizerOptions
         // honor partial blockages at a similarly coarse row/region
         // granularity -- the exact sub-row structure is invisible to them,
         // which is the resolution limitation the paper calls out).
-        const int rowsPerPeriod =
-            std::max(1, static_cast<int>(opt.partialBlockageResolution / fp.rowHeight));
-        (void)rowsPerPeriod;
         const double d = b.density;
         if (std::floor(static_cast<double>(r + 1) * d) > std::floor(static_cast<double>(r) * d)) {
           subtract(row.segs, b.rect.xlo, b.rect.xhi);

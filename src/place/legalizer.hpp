@@ -19,7 +19,9 @@
 namespace m3d {
 
 struct LegalizerOptions {
-  /// Stripe period used to discretize partial blockages [DBU].
+  /// Stripe period of partial blockages [DBU]. The row legalizer dithers a
+  /// partial blockage in whole rows and does not read it; the place-stage
+  /// cache key hashes it.
   Dbu partialBlockageResolution = umToDbu(8.0);
   /// Width multiplier applied to every movable cell during legalization.
   /// The S2D/C2D pseudo phase legalizes at sqrt(2)x width so that after the

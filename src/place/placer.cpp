@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "place/cg_solver.hpp"
+#include "place/diffusion_pick.hpp"
 
 namespace m3d {
 
@@ -57,8 +58,14 @@ struct DiffuseScratch {
   std::vector<double> areas;
   std::vector<std::vector<int>> cellsIn;
   std::vector<double> demand;
+  DiffusionPick pick;
   bool primed = false;
 };
+
+/// The cell a bin sheds toward each neighbour candidate of diffuse() (+x,
+/// -x, +y, -y): the one nearest their shared edge.
+constexpr DiffusionPick::Dir kPickDir[4] = {DiffusionPick::kMaxX, DiffusionPick::kMinX,
+                                            DiffusionPick::kMaxY, DiffusionPick::kMinY};
 
 /// Bin-diffusion spreading: moves cells out of overfull bins into the least
 /// utilized neighbor bin until every bin respects its capacity. Preserves
@@ -100,6 +107,7 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
   const std::vector<double>& areas = scratch.areas;
   std::vector<std::vector<int>>& cellsIn = scratch.cellsIn;
   std::vector<double>& demand = scratch.demand;
+  DiffusionPick& pickTree = scratch.pick;
 
   for (int round = 0; round < rounds; ++round) {
     // Bucket cells by bin (buckets keep their capacity across rounds).
@@ -124,6 +132,7 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
           return cap[nb] > 0.0 ? demand[nb] / cap[nb] : 1e30;
         };
         auto& bucket = cellsIn[b];
+        bool picking = false;
         while (demand[b] > cap[b] && !bucket.empty()) {
           struct Cand {
             int dx;
@@ -141,21 +150,18 @@ void diffuse(const Netlist& nl, const Floorplan& fp, const std::vector<InstId>& 
           }
           if (best < 0) break;
           // Move the cell already closest to the chosen edge (minimal
-          // displacement, preserves cluster structure).
-          std::size_t pick = 0;
-          double bestCoord = cands[best].dx > 0 || cands[best].dy > 0 ? -1e30 : 1e30;
-          for (std::size_t k = 0; k < bucket.size(); ++k) {
-            const double coord = cands[best].dx != 0 ? x[static_cast<std::size_t>(bucket[k])]
-                                                     : y[static_cast<std::size_t>(bucket[k])];
-            const bool positive = cands[best].dx > 0 || cands[best].dy > 0;
-            if ((positive && coord > bestCoord) || (!positive && coord < bestCoord)) {
-              bestCoord = coord;
-              pick = k;
-            }
+          // displacement, preserves cluster structure). The pick tree is
+          // built on the bin's first move: the bucket only shrinks while
+          // the bin sheds cells, and its cells' coordinates stay fixed.
+          if (!picking) {
+            pickTree.build(bucket, x, y);
+            picking = true;
           }
+          const std::size_t pick = pickTree.pick(kPickDir[best]);
           const int v = bucket[pick];
           bucket[pick] = bucket.back();
           bucket.pop_back();
+          pickTree.swapRemove(pick);
           const int nbx = bx + cands[best].dx;
           const int nby = by + cands[best].dy;
           const Rect nr = map.cellRect(nbx, nby);
@@ -402,15 +408,20 @@ PlaceResult globalPlace(Netlist& nl, const Floorplan& fp, const PlacerOptions& o
   std::vector<Point> bestPos;
   bool bestLegal = false;
   LegalizeResult bestLegalResult;
-  for (int r = 0; r < kPureSolveRounds; ++r) {
-    buildAndSolve(true);
-    buildAndSolve(false);
-  }
+  // The x and y systems share no mutable state: each axis writes only its
+  // own coordinate vector and reads only that vector, its own anchors and
+  // fixed pins. So they solve as two pool chunks; the spring reduce nested in each chunk
+  // then runs inline, in the same chunk order, and the result is
+  // bit-identical to solving x then y.
+  auto solveBothAxes = [&] {
+    par::parallelFor(
+        0, 2, 1, [&](std::int64_t axis) { buildAndSolve(axis == 0); }, opt.numThreads);
+  };
+  for (int r = 0; r < kPureSolveRounds; ++r) solveBothAxes();
   DiffuseScratch diffuseScratch;  // capacities/buffers shared by all iterations
   for (int iter = 0; iter < opt.maxIters; ++iter) {
     obs::ScopedPhase it("place.iter");
-    buildAndSolve(true);
-    buildAndSolve(false);
+    solveBothAxes();
 
     // Record the quadratic solution, spread it to legal density, legalize,
     // and read the result back as anchors.

@@ -129,7 +129,9 @@ bool Client::submit(const JobSpec& spec, std::uint64_t* jobId, std::string* err)
     if (err != nullptr) *err = "submit response has no job_id";
     return false;
   }
-  if (jobId != nullptr) *jobId = static_cast<std::uint64_t>(id->number);
+  std::uint64_t value = 0;
+  if (!jsonInteger(*id, "job_id", &value, err)) return false;
+  if (jobId != nullptr) *jobId = value;
   return true;
 }
 

@@ -15,15 +15,10 @@ namespace {
 
 /// Typed field readers: absent keys keep the caller's default, wrong-typed
 /// keys fail with a diagnostic naming the key.
-bool readInt(const obs::JsonValue& v, const char* key, int* dst, std::string* err) {
+template <class T>
+bool readInteger(const obs::JsonValue& v, const char* key, T* dst, std::string* err) {
   const obs::JsonValue* f = v.find(key);
-  if (f == nullptr) return true;
-  if (!f->isNumber()) {
-    if (err != nullptr) *err = std::string(key) + " must be a number";
-    return false;
-  }
-  *dst = static_cast<int>(f->number);
-  return true;
+  return f == nullptr || jsonInteger(*f, key, dst, err);
 }
 
 bool readDouble(const obs::JsonValue& v, const char* key, double* dst, std::string* err) {
@@ -34,17 +29,6 @@ bool readDouble(const obs::JsonValue& v, const char* key, double* dst, std::stri
     return false;
   }
   *dst = f->number;
-  return true;
-}
-
-bool readI64(const obs::JsonValue& v, const char* key, std::int64_t* dst, std::string* err) {
-  const obs::JsonValue* f = v.find(key);
-  if (f == nullptr) return true;
-  if (!f->isNumber()) {
-    if (err != nullptr) *err = std::string(key) + " must be a number";
-    return false;
-  }
-  *dst = static_cast<std::int64_t>(f->number);
   return true;
 }
 
@@ -186,14 +170,14 @@ bool JobSpec::fromJson(const obs::JsonValue& v, JobSpec* out, std::string* err) 
   }
   if (!readString(v, "flow", &spec.flow, err)) return false;
   if (!readString(v, "tile", &spec.tile, err)) return false;
-  if (!readInt(v, "shrink", &spec.shrink, err)) return false;
-  if (!readInt(v, "threads", &spec.threads, err)) return false;
-  if (!readInt(v, "priority", &spec.priority, err)) return false;
-  if (!readInt(v, "max_freq_rounds", &spec.maxFreqRounds, err)) return false;
-  if (!readInt(v, "opt_max_passes", &spec.optMaxPasses, err)) return false;
+  if (!readInteger(v, "shrink", &spec.shrink, err)) return false;
+  if (!readInteger(v, "threads", &spec.threads, err)) return false;
+  if (!readInteger(v, "priority", &spec.priority, err)) return false;
+  if (!readInteger(v, "max_freq_rounds", &spec.maxFreqRounds, err)) return false;
+  if (!readInteger(v, "opt_max_passes", &spec.optMaxPasses, err)) return false;
   if (!readBool(v, "signoff", &spec.signoff, err)) return false;
   if (!readBool(v, "resume", &spec.resume, err)) return false;
-  if (!readInt(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
+  if (!readInteger(v, "macro_die_metals", &spec.macroDieMetals, err)) return false;
   if (!readDouble(v, "f2f_pitch_scale", &spec.f2fPitchScale, err)) return false;
   if (!readString(v, "label", &spec.label, err)) return false;
   const std::string invalid = spec.validate();
@@ -235,17 +219,15 @@ bool JobResult::fromJson(const obs::JsonValue& v, JobResult* out, std::string* e
         ok = readString(*m, key, &value, err);
       } else if constexpr (std::is_same_v<T, double>) {
         ok = readDouble(*m, key, &value, err);
-      } else if constexpr (std::is_same_v<T, std::int64_t>) {
-        ok = readI64(*m, key, &value, err);
       } else {
-        ok = readInt(*m, key, &value, err);
+        ok = readInteger(*m, key, &value, err);
       }
     });
     if (!ok) return false;
   }
-  if (!readInt(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
-  if (!readI64(v, "eco_ripped", &r.ecoRipped, err)) return false;
-  if (!readI64(v, "eco_reused", &r.ecoReused, err)) return false;
+  if (!readInteger(v, "cache_prefix_stages", &r.cachePrefixStages, err)) return false;
+  if (!readInteger(v, "eco_ripped", &r.ecoRipped, err)) return false;
+  if (!readInteger(v, "eco_reused", &r.ecoReused, err)) return false;
   if (!readBool(v, "coalesced", &r.coalesced, err)) return false;
   std::string hex;
   if (!readString(v, "artifact_hash", &hex, err)) return false;

@@ -27,8 +27,11 @@
 /// 64-bit hashes cross the wire as 16-digit hex strings: JSON numbers are
 /// doubles and would silently lose bits past 2^53.
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "flows/flow_common.hpp"
 #include "obs/json.hpp"
@@ -99,6 +102,29 @@ struct JobResult {
 /// 64-bit value <-> fixed-width lowercase hex (the wire format of hashes).
 std::string hashToHex(std::uint64_t h);
 bool hexToHash(const std::string& s, std::uint64_t* out);
+
+/// Converts the JSON number \p f to an integer of type T, truncating any
+/// fraction toward zero. Fails, with an error naming \p key, when \p f is
+/// not a number or lies outside T's range: a plain cast of such a value is
+/// undefined behaviour. Every integer the protocol reads goes through here.
+template <class T>
+bool jsonInteger(const obs::JsonValue& f, const char* key, T* dst, std::string* err) {
+  static_assert(std::is_integral_v<T>);
+  if (!f.isNumber()) {
+    if (err != nullptr) *err = std::string(key) + " must be a number";
+    return false;
+  }
+  // Truncation fits T exactly on [lo, hi); both bounds are exact doubles
+  // (0 or -2^digits, and 2^digits).
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(f.number >= lo && f.number < hi)) {
+    if (err != nullptr) *err = std::string(key) + " is out of range";
+    return false;
+  }
+  *dst = static_cast<T>(f.number);
+  return true;
+}
 
 /// One-line JSON encoders for the simple requests (client side).
 std::string encodePing();

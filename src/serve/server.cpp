@@ -354,7 +354,9 @@ std::string Server::handleRequest(const obs::JsonValue& req, bool* shutdownAfter
     if (idField == nullptr || !idField->isNumber()) {
       return encodeError(op + " has no 'job_id'");
     }
-    const auto id = static_cast<std::uint64_t>(idField->number);
+    std::uint64_t id = 0;
+    std::string err;
+    if (!jsonInteger(*idField, "job_id", &id, &err)) return encodeError(op + ": " + err);
 
     if (op == "cancel") {
       if (queue_.cancel(id)) {
@@ -370,8 +372,8 @@ std::string Server::handleRequest(const obs::JsonValue& req, bool* shutdownAfter
     if (op == "wait") {
       int timeoutMs = 0;
       if (const obs::JsonValue* t = req.find("timeout_ms");
-          t != nullptr && t->isNumber()) {
-        timeoutMs = static_cast<int>(t->number);
+          t != nullptr && t->isNumber() && !jsonInteger(*t, "timeout_ms", &timeoutMs, &err)) {
+        return encodeError(op + ": " + err);
       }
       job = queue_.waitJob(id, timeoutMs);
     } else {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "lib/stdcell_factory.hpp"
 #include "netlist/logic_cloud.hpp"
 #include "place/cg_solver.hpp"
+#include "place/diffusion_pick.hpp"
 #include "place/legalizer.hpp"
 #include "place/placer.hpp"
 #include "tech/tech_node.hpp"
@@ -46,6 +48,71 @@ TEST(CgSolver, WarmStartConverges) {
   const int iters = sys.solve(x);
   EXPECT_NEAR(x[0], 42.0, 1e-6);
   EXPECT_LE(iters, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Diffusion pick: the tournament tree against the linear scan it replaced.
+
+/// Oracle: the placer's original pick, a left-to-right scan that keeps the
+/// first position holding the largest (smallest) coordinate.
+std::size_t scanPick(const std::vector<int>& bucket, const std::vector<double>& x,
+                     const std::vector<double>& y, DiffusionPick::Dir d) {
+  const bool useX = d == DiffusionPick::kMaxX || d == DiffusionPick::kMinX;
+  const bool positive = d == DiffusionPick::kMaxX || d == DiffusionPick::kMaxY;
+  std::size_t pick = 0;
+  double bestCoord = positive ? -1e30 : 1e30;
+  for (std::size_t k = 0; k < bucket.size(); ++k) {
+    const double coord = useX ? x[static_cast<std::size_t>(bucket[k])]
+                              : y[static_cast<std::size_t>(bucket[k])];
+    if ((positive && coord > bestCoord) || (!positive && coord < bestCoord)) {
+      bestCoord = coord;
+      pick = k;
+    }
+  }
+  return pick;
+}
+
+// Seeded random buckets whose coordinates come from a handful of values, so
+// most picks break ties. Random direction queries interleave with the
+// swap-removes diffuse() performs; the tree must name the oracle's position
+// every time, down to an empty bucket.
+TEST(DiffusionPick, MatchesLinearScanOracleUnderTiesAndSwapRemoves) {
+  std::mt19937_64 rng(19);
+  DiffusionPick tree;  // reused across buckets, as the placer does
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t numCells = 1 + rng() % 300;
+    const int distinct = 1 + static_cast<int>(rng() % 6);
+    std::vector<double> x(numCells);
+    std::vector<double> y(numCells);
+    for (std::size_t c = 0; c < numCells; ++c) {
+      x[c] = 0.5 * static_cast<double>(rng() % static_cast<std::uint64_t>(distinct));
+      y[c] = -0.25 * static_cast<double>(rng() % static_cast<std::uint64_t>(distinct));
+    }
+    // A bucket holds a shuffled subset of the cells.
+    std::vector<int> bucket(numCells);
+    for (std::size_t c = 0; c < numCells; ++c) bucket[c] = static_cast<int>(c);
+    std::shuffle(bucket.begin(), bucket.end(), rng);
+    bucket.resize(1 + rng() % numCells);
+
+    tree.build(bucket, x, y);
+    while (!bucket.empty()) {
+      ASSERT_EQ(tree.size(), bucket.size());
+      const int queries = 1 + static_cast<int>(rng() % 3);
+      std::size_t pos = 0;
+      for (int q = 0; q < queries; ++q) {
+        const auto d = static_cast<DiffusionPick::Dir>(rng() % 4);
+        pos = tree.pick(d);
+        ASSERT_EQ(pos, scanPick(bucket, x, y, d))
+            << "trial " << trial << ", direction " << d << ", bucket size " << bucket.size();
+      }
+      // Mostly remove the picked cell, as diffuse() does; sometimes any.
+      if (rng() % 4 == 0) pos = rng() % bucket.size();
+      bucket[pos] = bucket.back();
+      bucket.pop_back();
+      tree.swapRemove(pos);
+    }
+    EXPECT_EQ(tree.size(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -168,6 +235,28 @@ TEST_F(PlaceFixture, PlacementIsDeterministic) {
   globalPlace(nl2, fp_);
   for (InstId i = 0; i < nl2.numInstances(); ++i) {
     EXPECT_EQ(nl2.instance(i).pos, first[static_cast<std::size_t>(i)]) << i;
+  }
+}
+
+// Pins the exact placement of one cloud. The value was recorded before the
+// diffusion pick became a tree and the x and y solves ran as two chunks; a
+// change to the pick's tie-breaking, the solve order or any other placer
+// arithmetic moves it. Update it only for a deliberate change of results.
+TEST_F(PlaceFixture, PlacementMatchesPinnedPositionHash) {
+  constexpr std::uint64_t kPinnedHash = 0x6e7feada2bb3fcadULL;
+  buildCloud(300, 60, 70);
+  for (const int threads : {1, 4}) {
+    for (InstId i = 0; i < nl_.numInstances(); ++i) nl_.instance(i).pos = Point{0, 0};
+    PlacerOptions opt;
+    opt.numThreads = threads;
+    ASSERT_TRUE(globalPlace(nl_, fp_, opt).success);
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over every (x, y)
+    for (InstId i = 0; i < nl_.numInstances(); ++i) {
+      for (const Dbu v : {nl_.instance(i).pos.x, nl_.instance(i).pos.y}) {
+        h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, kPinnedHash) << "numThreads=" << threads << ", hash 0x" << std::hex << h;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +207,34 @@ TEST(ServeProtocol, ResultJsonRoundTrip) {
   EXPECT_EQ(back.artifactHash, r.artifactHash);
   EXPECT_EQ(back.artifactSource, r.artifactSource);
   EXPECT_EQ(back.finalCheckpoint, r.finalCheckpoint);
+}
+
+// An integer field holding a number outside its C++ type fails the parse
+// with an error naming the key; casting it would be undefined behaviour.
+TEST(ServeProtocol, OutOfRangeIntegersFailClosed) {
+  std::string err;
+  for (const char* text : {R"({"flow":"macro3d","tile":"tiny","threads":1e300})",
+                           R"({"flow":"macro3d","tile":"tiny","threads":-1e300})"}) {
+    const auto doc = obs::parseJson(text, &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    JobSpec out;
+    err.clear();
+    EXPECT_FALSE(JobSpec::fromJson(*doc, &out, &err)) << text;
+    EXPECT_NE(err.find("threads"), std::string::npos) << err;
+  }
+
+  // 2^63 is one past the largest int64; -2^63 is the smallest and parses.
+  auto parseResult = [&](const char* text, JobResult* out) {
+    const auto doc = obs::parseJson(text, &err);
+    EXPECT_TRUE(doc.has_value()) << err;
+    err.clear();
+    return doc.has_value() && JobResult::fromJson(*doc, out, &err);
+  };
+  JobResult r;
+  EXPECT_FALSE(parseResult(R"({"eco_ripped":9223372036854775808})", &r));
+  EXPECT_NE(err.find("eco_ripped"), std::string::npos) << err;
+  ASSERT_TRUE(parseResult(R"({"eco_ripped":-9223372036854775808})", &r)) << err;
+  EXPECT_EQ(r.ecoRipped, std::numeric_limits<std::int64_t>::min());
 }
 
 // ---------------------------------------------------------------------------
@@ -821,6 +850,31 @@ TEST(ServeServer, OverlongRequestLineIsRejectedAndOthersStillServed) {
   c.close();
   ts.shutdownAndJoin();
   fs::remove_all(tempPath("m3d_serve_overlong"));
+}
+
+// A job id no job can have (negative, or past 2^64) gets an error reply,
+// and the connection keeps serving.
+TEST(ServeServer, OutOfRangeJobIdIsRejectedAndPingStillAnswers) {
+  TestServer ts(serverOptions("m3d_serve_bad_job_id", /*executors=*/1));
+  ASSERT_TRUE(ts.start());
+  Client c;
+  std::string err;
+  ASSERT_TRUE(c.connect(ts.server.options().socketPath, &err)) << err;
+  for (const char* line : {R"({"op":"status","job_id":-1})", R"({"op":"status","job_id":1e300})",
+                           R"({"op":"cancel","job_id":-1})", R"({"op":"wait","job_id":1e300})",
+                           R"({"op":"wait","job_id":1,"timeout_ms":1e300})"}) {
+    obs::JsonValue resp;
+    err.clear();
+    EXPECT_FALSE(c.request(line, &resp, &err)) << line;
+    const obs::JsonValue* ok = resp.find("ok");
+    ASSERT_NE(ok, nullptr) << line;
+    EXPECT_FALSE(ok->boolean) << line;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << line << ": " << err;
+  }
+  EXPECT_TRUE(c.ping(&err)) << err;
+  c.close();
+  ts.shutdownAndJoin();
+  fs::remove_all(tempPath("m3d_serve_bad_job_id"));
 }
 
 }  // namespace
